@@ -22,16 +22,9 @@ from .caching import CacheLayout, DeliverySchedule, SubfileLabel, build_schedule
 from .channel import (
     SCENARIOS,
     DynamicScenario,
-    EstimatedChannel,
     ShadowingParams,
-    UserChannel,
-    apply_estimation_error,
     elevation_angle,
     los_probability,
-    sample_channel,
-    sample_dynamic_channel,
-    sample_nakagami,
-    sample_user_positions,
     scenario,
     snr_ave_db,
     substream,
@@ -40,7 +33,6 @@ from .experiments import (
     MomentOracleResult,
     RateEstimate,
     SweepTable,
-    mc_dynamic_gain,
     mc_effective_gain,
     mc_moment_oracle,
     mc_sum_rate,
@@ -51,10 +43,8 @@ from .experiments import (
 from .linkphy import (
     ChannelBlock,
     SystemConfig,
-    block_debug_dict,
     compute_sinr,
     effective_sum_rate,
     full_signal_roundtrip,
-    mf_precoder,
     sample_block,
 )

@@ -47,14 +47,15 @@ class GainResult:
 def alpha2_closed_form(config: SystemConfig) -> float:
     """Squared power-control factor P_t / (G Q L (2 beta + sigma_e2 + omega)).
 
-    Setting g_groups = 1 gives the cacheless baseline factor.
+    Setting g_groups = 1 gives the cacheless baseline factor.  For the
+    LOS/NLOS mixture the element power is its position average, which keeps
+    E[||x||^2] = P_t over channels, states and positions.
     """
-    p = config.shadowing
     denom = (
         config.g_groups
         * config.q_mux
         * config.l_antennas
-        * (p.mean_element_power + config.sigma_e2)
+        * config.shadowing.element_power(config.sigma_e2)
     )
     if denom <= 0:
         raise ValueError("degenerate parameters: mean channel power is zero")
@@ -69,8 +70,14 @@ def xi_moments_closed_form(params: ShadowingParams, sigma_e2: float, l_antennas:
     xi2 = L (2b + w) (2b + sigma_e2 + w)
 
     The L(L-1) cross term carries the (1 + 1/m) w^2 factor because the LOS
-    amplitude is one scalar shared by all antennas.
+    amplitude is one scalar shared by all antennas.  The LOS/NLOS mixture
+    has no closed form and is rejected.
     """
+    if not isinstance(params, ShadowingParams):
+        raise ValueError(
+            f"{type(params).__name__} has no closed-form moments; the LOS/NLOS "
+            "mixture is evaluated by Monte Carlo only"
+        )
     if sigma_e2 < 0:
         raise ValueError(f"sigma_e2 must be >= 0, got {sigma_e2}")
     if l_antennas < 1:

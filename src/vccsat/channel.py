@@ -7,12 +7,19 @@ h'_l is i.i.d. complex Gaussian with per-element power 2*beta (real and
 imaginary parts each of variance beta).  AWGN power is normalised to 1, so
 the transmit power P_t absorbs pathloss and antenna gains.
 
+Two channel models share one interface: `ShadowingParams` (one shadowing
+scenario) and `DynamicScenario` (an elevation-dependent LOS/NLOS mixture
+over a coverage disk) both provide `draw(rng, n_antennas, size)` and
+`element_power(sigma_e2)`, so the Monte Carlo engine and the power
+normalisation take either one as `SystemConfig.shadowing`.
+
 All samplers are pure given an explicit numpy Generator; use `substream` to
 derive named, order-independent generators from one master seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,24 +41,26 @@ class ShadowingParams:
     omega: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"shadowing shape m must be > 0, got {self.m}")
-        if self.beta < 0:
-            raise ValueError(f"scatter power parameter beta must be >= 0, got {self.beta}")
-        if self.omega < 0:
-            raise ValueError(f"LOS power omega must be >= 0, got {self.omega}")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"shadowing shape m must be finite and > 0, got {self.m}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"scatter power parameter beta must be finite and >= 0, got {self.beta}")
+        if not 0 <= self.omega < math.inf:
+            raise ValueError(f"LOS power omega must be finite and >= 0, got {self.omega}")
 
     @property
     def mean_element_power(self) -> float:
         """E[|h_l|^2] = 2*beta + omega."""
         return 2.0 * self.beta + self.omega
 
-    def with_estimation_noise(self, sigma_e2: float) -> "ShadowingParams":
-        """Statistics of the estimated channel: same m and omega, scatter
-        power increased to 2*beta + sigma_e2."""
-        if sigma_e2 < 0:
-            raise ValueError(f"sigma_e2 must be >= 0, got {sigma_e2}")
-        return ShadowingParams(self.m, self.beta + 0.5 * sigma_e2, self.omega)
+    def element_power(self, sigma_e2: float = 0.0) -> float:
+        """E[|hhat_l|^2] = 2*beta + omega + sigma_e2 of an estimate with error
+        power sigma_e2; sigma_e2 = 0 gives the channel's own E[|h_l|^2]."""
+        return self.mean_element_power + sigma_e2
+
+    def draw(self, rng, n_antennas: int, size) -> np.ndarray:
+        """Channels of shape (*size, n_antennas); see `sample_channel_array`."""
+        return sample_channel_array(self, n_antennas, rng, size=size)
 
 
 # Frequent heavy / average / infrequent light shadowing presets.
@@ -72,48 +81,10 @@ def scenario(name: str) -> ShadowingParams:
         ) from None
 
 
-@dataclass(frozen=True)
-class UserChannel:
-    """One user's channel for one coherence block, kept in component form."""
-
-    los_amplitude: float
-    los_phases: np.ndarray
-    scatter: np.ndarray
-
-    @property
-    def n_antennas(self) -> int:
-        return self.los_phases.shape[-1]
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.los_amplitude * np.exp(1j * self.los_phases) + self.scatter
-
-
-@dataclass(frozen=True)
-class EstimatedChannel:
-    """CSIT view of a channel: h_hat = h + error, error ~ CN(0, sigma_e2 I)."""
-
-    h_hat: np.ndarray
-    sigma_e2: float
-
-
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named RNG substream: deterministic in (seed, key), independent of the
     order in which substreams are created or consumed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def sample_nakagami(m, omega, rng, size=None):
-    """Nakagami-m amplitude(s) Z with E[Z^2] = omega, via Z = sqrt(Gamma(m, omega/m)).
-
-    The construction gives the exact moments E[Z^2] = omega and
-    E[Z^4] = (1 + 1/m) * omega^2.
-    """
-    if not m > 0:
-        raise ValueError(f"Nakagami shape m must be > 0, got {m}")
-    if not omega > 0:
-        raise ValueError(f"Nakagami mean-square omega must be > 0, got {omega}")
-    return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=size))
 
 
 def _los_amplitudes(params: ShadowingParams, size, rng) -> np.ndarray:
@@ -125,17 +96,6 @@ def _los_amplitudes(params: ShadowingParams, size, rng) -> np.ndarray:
 def _scatter(beta, size_with_l, rng) -> np.ndarray:
     g = rng.standard_normal(tuple(size_with_l) + (2,))
     return np.sqrt(beta) * (g[..., 0] + 1j * g[..., 1])
-
-
-def sample_channel(params: ShadowingParams, n_antennas: int, rng) -> UserChannel:
-    """Draw one Rician-shadowed channel: shared LOS amplitude, i.i.d. phases,
-    i.i.d. scatter."""
-    if n_antennas < 1:
-        raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
-    z = float(_los_amplitudes(params, (), rng))
-    phases = rng.uniform(0.0, TWO_PI, size=n_antennas)
-    scatter = _scatter(params.beta, (n_antennas,), rng)
-    return UserChannel(los_amplitude=z, los_phases=phases, scatter=scatter)
 
 
 def sample_channel_array(params: ShadowingParams, n_antennas: int, rng, size=()) -> np.ndarray:
@@ -163,20 +123,11 @@ def estimation_noise(shape, sigma_e2, rng) -> np.ndarray:
     return np.sqrt(0.5 * sigma_e2) * (g[..., 0] + 1j * g[..., 1])
 
 
-def apply_estimation_error(user_channel: UserChannel, sigma_e2, rng) -> EstimatedChannel:
-    """CSIT model: h_hat = h + error with error independent of h; sigma_e2 = 0
-    returns h_hat identical to h."""
-    h = user_channel.h
-    if sigma_e2 == 0.0:
-        return EstimatedChannel(h_hat=h, sigma_e2=0.0)
-    return EstimatedChannel(h_hat=h + estimation_noise(h.shape, sigma_e2, rng), sigma_e2=sigma_e2)
-
-
-def snr_ave_db(p_t_linear, params: ShadowingParams) -> float:
-    """Average single-antenna downlink SNR, 10*log10(P_t * (2*beta + omega))."""
+def snr_ave_db(p_t_linear, params: ShadowingParams | DynamicScenario) -> float:
+    """Average single-antenna downlink SNR, 10*log10(P_t * E|h_l|^2)."""
     if not p_t_linear > 0:
         raise ValueError(f"p_t_linear must be > 0, got {p_t_linear}")
-    return float(10.0 * np.log10(p_t_linear * params.mean_element_power))
+    return float(10.0 * np.log10(p_t_linear * params.element_power()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +151,24 @@ class DynamicScenario:
     nlos_params: ShadowingParams = SCENARIOS["FHS"]
 
     def __post_init__(self):
-        if not self.radius_km > 0:
-            raise ValueError(f"radius_km must be > 0, got {self.radius_km}")
-        if not self.altitude_km > 0:
-            raise ValueError(f"altitude_km must be > 0, got {self.altitude_km}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        for name in ("radius_km", "altitude_km", "eta"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+    def element_power(self, sigma_e2: float = 0.0) -> float:
+        """Position-averaged mean element power of the (estimated) channel."""
+        p = disk_mean_los_probability(self)
+        los = self.los_params.mean_element_power + sigma_e2
+        nlos = self.nlos_params.mean_element_power + sigma_e2
+        return p * los + (1.0 - p) * nlos
+
+    def draw(self, rng, n_antennas: int, size) -> np.ndarray:
+        """Channels of shape (*size, n_antennas) for users uniform on the
+        disk: the radius sets the elevation, which sets the LOS probability."""
+        radii = self.radius_km * np.sqrt(rng.random(size))
+        elevations = elevation_angle(radii, self.altitude_km)
+        return sample_dynamic_channel_array(self, elevations, n_antennas, rng)
 
 
 def elevation_angle(horizontal_distance_km, altitude_km):
@@ -230,26 +193,6 @@ def los_probability(eta, elevation_deg):
     cot = np.cos(zeta) / np.sin(zeta)
     out = np.exp(-eta * cot)
     return float(out) if np.isscalar(elevation_deg) else out
-
-
-def sample_user_positions(radius_km, count, rng) -> np.ndarray:
-    """Uniform positions on the coverage disk, returned as (count, 2) x/y km."""
-    if not radius_km > 0:
-        raise ValueError(f"radius_km must be > 0, got {radius_km}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    r = radius_km * np.sqrt(rng.random(count))
-    ang = rng.uniform(0.0, TWO_PI, size=count)
-    return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-
-
-def sample_dynamic_channel(scen: DynamicScenario, elevation_deg, n_antennas: int, rng) -> UserChannel:
-    """Draw one user's channel from the LOS/NLOS mixture at the given
-    elevation.  The LOS/NLOS state is an independent Bernoulli draw per block
-    with the stationary probability exp(-eta * cot(elevation))."""
-    p = los_probability(scen.eta, elevation_deg)
-    params = scen.los_params if rng.random() < p else scen.nlos_params
-    return sample_channel(params, n_antennas, rng)
 
 
 def sample_dynamic_channel_array(scen: DynamicScenario, elevations_deg, n_antennas: int, rng) -> np.ndarray:
@@ -284,11 +227,3 @@ def disk_mean_los_probability(scen: DynamicScenario) -> float:
         # series expansion; the direct formula loses precision for tiny x
         return 1.0 - 2.0 * x / 3.0 + x * x / 4.0
     return 2.0 / (x * x) * (1.0 - np.exp(-x) * (1.0 + x))
-
-
-def dynamic_mean_element_power(scen: DynamicScenario, sigma_e2: float = 0.0) -> float:
-    """Position-averaged mean element power of the (estimated) dynamic channel."""
-    p = disk_mean_los_probability(scen)
-    los = scen.los_params.mean_element_power + sigma_e2
-    nlos = scen.nlos_params.mean_element_power + sigma_e2
-    return p * los + (1.0 - p) * nlos

@@ -20,14 +20,7 @@ import numpy as np
 
 from . import __version__, analysis, experiments
 from .caching import CacheLayout, build_schedule, schedule_to_dict, verify_completeness
-from .channel import (
-    SCENARIOS,
-    DynamicScenario,
-    ShadowingParams,
-    dynamic_mean_element_power,
-    scenario,
-    snr_ave_db,
-)
+from .channel import SCENARIOS, DynamicScenario, ShadowingParams, scenario, snr_ave_db
 from .linkphy import SystemConfig
 
 PT_GRID_DB = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0]
@@ -341,8 +334,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _figure_curves(fig: int, values: dict) -> list[dict]:
-    """Figure reproductions: curve name, config template, optional dynamic
-    scenario."""
+    """Figure reproductions: curve name, label, config template and q caps."""
     t, theta = values["t"], values["theta"]
 
     def cfg(scn, l_antennas, sigma=0.125, t_coh=None):
@@ -396,14 +388,7 @@ def _figure_curves(fig: int, values: dict) -> list[dict]:
         dyn = DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)
         return [
             dict(name="ils_l16_static", label="ILS", config=cfg("ILS", 16), q_max=8, q_max_baseline=8),
-            dict(
-                name="dynamic_l16",
-                label="DYNAMIC",
-                config=cfg("ILS", 16),
-                q_max=8,
-                q_max_baseline=8,
-                dynamic=dyn,
-            ),
+            dict(name="dynamic_l16", label="DYNAMIC", config=cfg(dyn, 16), q_max=8, q_max_baseline=8),
         ]
     raise ValueError(f"unknown figure id {fig}; expected 1..6")
 
@@ -419,34 +404,24 @@ def cmd_figure(args: argparse.Namespace) -> int:
     manifest_name = f"fig{args.figure}_manifest.json"
     for curve in curves:
         config = curve["config"]
-        dynamic = curve.get("dynamic")
-        if dynamic is None:
-            offset = snr_ave_db(1.0, config.shadowing)
-            evaluator = "closed-form" if args.analytic_only else "both"
-        else:
-            # the dynamic mixture has no closed form; simulation only
-            offset = 10.0 * np.log10(dynamic_mean_element_power(dynamic))
-            evaluator = None if args.analytic_only else "monte-carlo"
-        if evaluator is None:
-            sweep_rows = [{"pt_db": pt} for pt in FIGURE_PT_GRID_DB]
-        else:
-            table = experiments.sweep(
-                config,
-                "pt_db",
-                FIGURE_PT_GRID_DB,
-                quantity="gain",
-                evaluator=evaluator,
-                q_max=curve["q_max"],
-                q_max_baseline=curve["q_max_baseline"],
-                trials=trials,
-                seed=seed,
-                workers=workers,
-                dynamic=dynamic,
-            )
-            sweep_rows = table.rows
-        mc = evaluator in ("both", "monte-carlo")
+        offset = snr_ave_db(1.0, config.shadowing)
+        mc = not args.analytic_only
+        # a curve without a closed form (the LOS/NLOS mixture) leaves its
+        # analytic columns empty
+        table = experiments.sweep(
+            config,
+            "pt_db",
+            FIGURE_PT_GRID_DB,
+            quantity="gain",
+            evaluator="both" if mc else "closed-form",
+            q_max=curve["q_max"],
+            q_max_baseline=curve["q_max_baseline"],
+            trials=trials,
+            seed=seed,
+            workers=workers,
+        )
         rows = []
-        for r in sweep_rows:
+        for r in table.rows:
             rows.append(
                 {
                     "pt_db": r["pt_db"],

@@ -10,22 +10,17 @@ rescales alpha^2), which also pins the Q argmax to one set of realisations.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__, analysis
+from . import analysis
 from .channel import (
-    DynamicScenario,
     ShadowingParams,
-    dynamic_mean_element_power,
     estimation_noise,
     sample_channel_array,
-    sample_dynamic_channel_array,
     scenario,
     substream,
 )
@@ -104,51 +99,18 @@ def _mean_se(sums: np.ndarray, sumsq: np.ndarray, n: int) -> tuple[np.ndarray, n
     return mean, np.sqrt(var / n)
 
 
-def _static_draw(config: SystemConfig, q_width: int):
+def _draw(config: SystemConfig, q_width: int):
+    """Channel draw of `config.shadowing` for G groups of q_width users, with
+    the CSIT estimates; either array is shaped (n, G, q_width, L)."""
     n_users = config.g_groups * q_width
     shape = (config.g_groups, q_width, config.l_antennas)
 
     def draw(rng, n):
-        h = sample_channel_array(config.shadowing, config.l_antennas, rng, size=(n, n_users))
+        h = config.shadowing.draw(rng, config.l_antennas, (n, n_users))
         h_hat = h + estimation_noise(h.shape, config.sigma_e2, rng)
         return h.reshape((n,) + shape), h_hat.reshape((n,) + shape)
 
     return draw
-
-
-def _dynamic_draw(scen: DynamicScenario, config: SystemConfig, q_width: int):
-    """Per trial: user radii uniform on the coverage disk (only the radius
-    enters the elevation), elevation-dependent LOS state, mixture channel."""
-    n_users = config.g_groups * q_width
-    shape = (config.g_groups, q_width, config.l_antennas)
-
-    def draw(rng, n):
-        radii = scen.radius_km * np.sqrt(rng.random((n, n_users)))
-        elev = np.degrees(np.arctan2(scen.altitude_km, radii))
-        h = sample_dynamic_channel_array(scen, elev, config.l_antennas, rng)
-        h_hat = h + estimation_noise(h.shape, config.sigma_e2, rng)
-        return h.reshape((n,) + shape), h_hat.reshape((n,) + shape)
-
-    return draw
-
-
-def dynamic_alpha2(scen: DynamicScenario, config: SystemConfig) -> float:
-    """Power factor for the LOS/NLOS mixture: the per-scenario mean element
-    power in the static formula is replaced by its position average, which
-    keeps E[||x||^2] = P_t over channels, states and positions."""
-    denom = (
-        config.g_groups
-        * config.q_mux
-        * config.l_antennas
-        * dynamic_mean_element_power(scen, config.sigma_e2)
-    )
-    return config.p_t / denom
-
-
-def _alpha2(config: SystemConfig, dynamic: DynamicScenario | None) -> float:
-    if dynamic is None:
-        return analysis.alpha2_closed_form(config)
-    return dynamic_alpha2(dynamic, config)
 
 
 def _rate_table_raw(
@@ -159,7 +121,6 @@ def _rate_table_raw(
     seed: int,
     workers: int,
     stream: int,
-    dynamic: DynamicScenario | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of the effective sum rate on a (pt, q) grid,
     sharing one set of channel draws of width max(q_grid) per batch."""
@@ -172,13 +133,8 @@ def _rate_table_raw(
         cfg_q = replace(config, q_mux=q)
         xi[qi] = cfg_q.xi
         for pi, pt in enumerate(pt_values):
-            alpha2[pi, qi] = _alpha2(replace(cfg_q, p_t=pt), dynamic)
-    q_width = max(q_grid)
-    draw = (
-        _static_draw(config, q_width)
-        if dynamic is None
-        else _dynamic_draw(dynamic, config, q_width)
-    )
+            alpha2[pi, qi] = analysis.alpha2_closed_form(replace(cfg_q, p_t=pt))
+    draw = _draw(config, max(q_grid))
 
     def worker(j: int, n: int) -> np.ndarray:
         rng = substream(seed, stream, j)
@@ -208,14 +164,13 @@ def mc_sum_rate(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    dynamic: DynamicScenario | None = None,
 ) -> RateEstimate:
     """Monte Carlo mean of the effective sum rate at the given operating
     point, using the statistical power factor of the closed-form analysis."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     means, ses = _rate_table_raw(
-        config, [config.q_mux], [config.p_t], trials, seed, workers, _STREAM_RATE, dynamic
+        config, [config.q_mux], [config.p_t], trials, seed, workers, _STREAM_RATE
     )
     return RateEstimate(mean=float(means[0, 0]), std_error=float(ses[0, 0]), trials=trials, config=config)
 
@@ -227,15 +182,12 @@ def mc_rate_table(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    dynamic: DynamicScenario | None = None,
 ) -> list[list[RateEstimate]]:
     """Sum-rate estimates on a (transmit power, q) grid, indexed
     [pt][q], sharing one set of channel draws of width max(q_grid)."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    means, ses = _rate_table_raw(
-        config, q_grid, pt_values, trials, seed, workers, _STREAM_RATE, dynamic
-    )
+    means, ses = _rate_table_raw(config, q_grid, pt_values, trials, seed, workers, _STREAM_RATE)
     return [
         [
             RateEstimate(
@@ -258,7 +210,6 @@ def mc_gain_table(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    dynamic: DynamicScenario | None = None,
 ) -> list[analysis.GainResult]:
     """Q-optimised Monte Carlo gain at each transmit power.
 
@@ -269,11 +220,9 @@ def mc_gain_table(
         raise ValueError(f"trials must be >= 100, got {trials}")
     qs_vcc = list(analysis.gain_q_grid(q_max))
     qs_base = list(analysis.gain_q_grid(q_max_baseline))
-    v_mean, v_se = _rate_table_raw(
-        config, qs_vcc, pt_values, trials, seed, workers, _STREAM_RATE, dynamic
-    )
+    v_mean, v_se = _rate_table_raw(config, qs_vcc, pt_values, trials, seed, workers, _STREAM_RATE)
     b_mean, b_se = _rate_table_raw(
-        replace(config, g_groups=1), qs_base, pt_values, trials, seed, workers, _STREAM_BASELINE, dynamic
+        replace(config, g_groups=1), qs_base, pt_values, trials, seed, workers, _STREAM_BASELINE
     )
     results = []
     for pi in range(len(pt_values)):
@@ -304,26 +253,9 @@ def mc_effective_gain(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    dynamic: DynamicScenario | None = None,
 ) -> analysis.GainResult:
     """Monte Carlo effective gain at the config's own transmit power."""
-    return mc_gain_table(
-        config, [config.p_t], q_max, q_max_baseline, trials, seed, workers, dynamic
-    )[0]
-
-
-def mc_dynamic_gain(
-    scen: DynamicScenario,
-    config: SystemConfig,
-    q_max: int = 8,
-    q_max_baseline: int = 8,
-    trials: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> analysis.GainResult:
-    """Effective gain under the dynamic LOS/NLOS channel with users drawn
-    uniformly over the coverage disk each trial."""
-    return mc_effective_gain(config, q_max, q_max_baseline, trials, seed, workers, dynamic=scen)
+    return mc_gain_table(config, [config.p_t], q_max, q_max_baseline, trials, seed, workers)[0]
 
 
 def mc_moment_oracle(
@@ -381,19 +313,14 @@ def mc_transmit_power(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    dynamic: DynamicScenario | None = None,
 ) -> ScalarEstimate:
     """Empirical E[||x||^2] of the superimposed matched-filter signal with
     unit-power Gaussian symbols; must match P_t under the statistical
     power factor."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    alpha = np.sqrt(_alpha2(config, dynamic))
-    draw = (
-        _static_draw(config, config.q_mux)
-        if dynamic is None
-        else _dynamic_draw(dynamic, config, config.q_mux)
-    )
+    alpha = np.sqrt(analysis.alpha2_closed_form(config))
+    draw = _draw(config, config.q_mux)
     shape = (config.g_groups, config.q_mux)
 
     def worker(j: int, n: int) -> np.ndarray:
@@ -424,39 +351,6 @@ class SweepTable:
 
     param: str
     rows: list[dict]
-    provenance: dict
-
-    def column_names(self) -> list[str]:
-        names: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in names:
-                    names.append(key)
-        return names
-
-    def to_csv_text(self, columns: Sequence[str] | None = None) -> str:
-        cols = list(columns) if columns is not None else self.column_names()
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"param": self.param, "provenance": self.provenance, "rows": self.rows}
-
-    def write_csv(self, path, columns: Sequence[str] | None = None) -> None:
-        Path(path).write_text(self.to_csv_text(columns))
-
-    def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, default=str) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 def _apply_param(config: SystemConfig, param: str, value) -> SystemConfig:
@@ -478,17 +372,15 @@ def sweep(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    dynamic: DynamicScenario | None = None,
 ) -> SweepTable:
     """Evaluate the closed form and/or the Monte Carlo estimate of the rate
     or gain at each grid point; a failing point is recorded in its row and
     the sweep continues.
 
     Sweeps over transmit power reuse one set of channel draws for the whole
-    grid (power only rescales alpha^2).  With `dynamic` set, the Monte Carlo
-    columns describe the LOS/NLOS mixture while any closed-form columns still
-    describe the static `config.shadowing` scenario (the mixture has no
-    closed form).
+    grid (power only rescales alpha^2).  The LOS/NLOS mixture has no closed
+    form: with it as `config.shadowing`, each row records that error and any
+    Monte Carlo columns are still filled.
     """
     if len(values) == 0:
         raise ValueError("sweep grid must be nonempty")
@@ -533,9 +425,7 @@ def sweep(
             if good:
                 pts = [cfg.p_t for _, cfg in good]
                 try:
-                    gains = mc_gain_table(
-                        config, pts, q_max, q_max_baseline, trials, seed, workers, dynamic
-                    )
+                    gains = mc_gain_table(config, pts, q_max, q_max_baseline, trials, seed, workers)
                     for (row, _), res in zip(good, gains):
                         _fill_mc_gain(row, res)
                 except (ValueError, ArithmeticError) as exc:
@@ -547,32 +437,16 @@ def sweep(
                     continue
                 try:
                     if quantity == "rate":
-                        est = mc_sum_rate(cfg, trials, seed, workers, dynamic)
+                        est = mc_sum_rate(cfg, trials, seed, workers)
                         row["rate_mc"] = est.mean
                         row["mc_stderr"] = est.std_error
                     else:
-                        res = mc_effective_gain(
-                            cfg, q_max, q_max_baseline, trials, seed, workers, dynamic
-                        )
+                        res = mc_effective_gain(cfg, q_max, q_max_baseline, trials, seed, workers)
                         _fill_mc_gain(row, res)
                 except (ValueError, ArithmeticError) as exc:
                     row["error"] = str(exc)
 
-    provenance = {
-        "param": param,
-        "values": list(values),
-        "quantity": quantity,
-        "evaluator": evaluator,
-        "trials": trials if do_mc else None,
-        "seed": seed if do_mc else None,
-        "workers": workers,
-        "q_max": q_max,
-        "q_max_baseline": q_max_baseline,
-        "config": asdict(config),
-        "dynamic": asdict(dynamic) if dynamic is not None else None,
-        "version": __version__,
-    }
-    return SweepTable(param=param, rows=rows, provenance=provenance)
+    return SweepTable(param=param, rows=rows)
 
 
 def _fill_mc_gain(row: dict, res: analysis.GainResult) -> None:

@@ -10,11 +10,12 @@ here.  The power factor alpha^2 is the statistical normalisation from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ShadowingParams, estimation_noise, sample_channel_array
+from .channel import DynamicScenario, ShadowingParams, estimation_noise
 
 MAX_Q = 10  # spot-beam spatial resolution caps the multiplexed users per group
 
@@ -26,13 +27,14 @@ class SystemConfig:
     p_t is linear transmit power (AWGN power is 1).  g_groups = 1 is the
     cacheless MU-MISO baseline.  theta_pilot is the pilot length per user per
     block; the fraction of the block left for data is the `xi` property.
+    `shadowing` is either channel model of `vccsat.channel`.
     """
 
     l_antennas: int
     g_groups: int
     q_mux: int
     p_t: float
-    shadowing: ShadowingParams
+    shadowing: ShadowingParams | DynamicScenario
     sigma_e2: float = 0.125
     t_coherence: int = 10_000
     theta_pilot: int = 12
@@ -44,10 +46,10 @@ class SystemConfig:
             raise ValueError(f"g_groups must be >= 1, got {self.g_groups}")
         if not 1 <= self.q_mux <= MAX_Q:
             raise ValueError(f"q_mux must be in [1, {MAX_Q}], got {self.q_mux}")
-        if not self.p_t > 0:
-            raise ValueError(f"p_t must be > 0, got {self.p_t}")
-        if self.sigma_e2 < 0:
-            raise ValueError(f"sigma_e2 must be >= 0, got {self.sigma_e2}")
+        if not 0 < self.p_t < math.inf:
+            raise ValueError(f"p_t must be finite and > 0, got {self.p_t}")
+        if not 0 <= self.sigma_e2 < math.inf:
+            raise ValueError(f"sigma_e2 must be finite and >= 0, got {self.sigma_e2}")
         if self.t_coherence < 1 or self.theta_pilot < 1:
             raise ValueError("t_coherence and theta_pilot must be >= 1")
         overhead = self.g_groups * self.q_mux * self.theta_pilot
@@ -85,22 +87,9 @@ class ChannelBlock:
 def sample_block(config: SystemConfig, rng) -> ChannelBlock:
     """Draw one block of true channels plus their CSIT estimates."""
     shape = (config.g_groups, config.q_mux)
-    h = sample_channel_array(config.shadowing, config.l_antennas, rng, size=shape)
+    h = config.shadowing.draw(rng, config.l_antennas, shape)
     h_hat = h + estimation_noise(h.shape, config.sigma_e2, rng)
     return ChannelBlock(true_h=h, est_h=h_hat)
-
-
-def mf_precoder(est_group_channels: np.ndarray) -> np.ndarray:
-    """Matched-filter precoding matrix for one group.
-
-    Input is the stacked estimate matrix of shape (Q, L); the precoder is its
-    conjugate transpose (L, Q), one column per user, with no normalisation
-    (power is carried by alpha).
-    """
-    est = np.asarray(est_group_channels)
-    if est.ndim != 2:
-        raise ValueError(f"expected a (Q, L) estimate matrix, got shape {est.shape}")
-    return est.conj().T
 
 
 def sinr_batch(true_h: np.ndarray, est_h: np.ndarray, alpha2: float) -> np.ndarray:
@@ -188,22 +177,3 @@ def intra_group_reference(
     # own-group composite coefficients h_gb^T hhat_gc^*
     coeff = np.einsum("gbl,gcl->gbc", block.true_h, block.est_h.conj())
     return alpha * np.einsum("gbc,gc->gb", coeff, symbols) + noise
-
-
-def block_debug_dict(block: ChannelBlock, config: SystemConfig, alpha2: float) -> dict:
-    """JSON-ready inspection dump of one block: channel matrices (split into
-    real/imag parts), per-user SINRs and rates."""
-    sinr = compute_sinr(block, config, alpha2)
-    return {
-        "l_antennas": config.l_antennas,
-        "g_groups": config.g_groups,
-        "q_mux": config.q_mux,
-        "alpha2": alpha2,
-        "xi": config.xi,
-        "true_h_real": block.true_h.real.tolist(),
-        "true_h_imag": block.true_h.imag.tolist(),
-        "est_h_real": block.est_h.real.tolist(),
-        "est_h_imag": block.est_h.imag.tolist(),
-        "sinr": sinr.tolist(),
-        "effective_sum_rate": effective_sum_rate(sinr, config),
-    }

@@ -370,7 +370,7 @@ def test_c13_dynamic_matches_static():
     pts = [db(p) for p in PT_GRID_DB]
     static = experiments.mc_gain_table(config, pts, 8, 8, trials=100_000, seed=0, workers=WORKERS)
     dynamic = experiments.mc_gain_table(
-        config, pts, 8, 8, trials=100_000, seed=0, workers=WORKERS, dynamic=scen
+        replace(config, shadowing=scen), pts, 8, 8, trials=100_000, seed=0, workers=WORKERS
     )
     rels = [abs(d.gain - s.gain) / s.gain for d, s in zip(dynamic, static)]
     failures = [f"pt={p:g}dB rel={r:.4f}" for p, r in zip(PT_GRID_DB, rels) if r > 0.05]

@@ -5,18 +5,12 @@ from vccsat.channel import (
     SCENARIOS,
     DynamicScenario,
     ShadowingParams,
-    apply_estimation_error,
     disk_mean_los_probability,
-    dynamic_mean_element_power,
     elevation_angle,
     estimation_noise,
     los_probability,
-    sample_channel,
     sample_channel_array,
-    sample_dynamic_channel,
     sample_dynamic_channel_array,
-    sample_nakagami,
-    sample_user_positions,
     scenario,
     snr_ave_db,
     substream,
@@ -38,7 +32,21 @@ class TestShadowingParams:
         with pytest.raises(ValueError, match="unknown shadowing scenario"):
             scenario("URBAN")
 
-    @pytest.mark.parametrize("m,beta,omega", [(0.0, 0.1, 0.1), (-1.0, 0.1, 0.1), (1.0, -0.1, 0.1), (1.0, 0.1, -0.1)])
+    @pytest.mark.parametrize(
+        "m,beta,omega",
+        [
+            (0.0, 0.1, 0.1),
+            (-1.0, 0.1, 0.1),
+            (1.0, -0.1, 0.1),
+            (1.0, 0.1, -0.1),
+            (np.inf, 0.1, 0.1),
+            (np.nan, 0.1, 0.1),
+            (1.0, np.inf, 0.1),
+            (1.0, np.nan, 0.1),
+            (1.0, 0.1, np.inf),
+            (1.0, 0.1, np.nan),
+        ],
+    )
     def test_invalid_parameters_rejected(self, m, beta, omega):
         with pytest.raises(ValueError):
             ShadowingParams(m, beta, omega)
@@ -47,35 +55,37 @@ class TestShadowingParams:
         assert SCENARIOS["AS"].mean_element_power == pytest.approx(1.087)
 
     def test_estimated_statistics_add_error_to_scatter(self):
-        p = SCENARIOS["AS"].with_estimation_noise(0.125)
-        assert p.m == SCENARIOS["AS"].m
-        assert p.omega == SCENARIOS["AS"].omega
-        assert p.mean_element_power == pytest.approx(1.087 + 0.125)
+        assert SCENARIOS["AS"].element_power(0.125) == pytest.approx(1.087 + 0.125)
+        assert SCENARIOS["AS"].element_power() == SCENARIOS["AS"].mean_element_power
+
+
+def los_amplitudes(m, omega, rng, size):
+    """Nakagami-m LOS amplitudes |h_l| = Z, drawn as channels without scatter."""
+    return np.abs(ShadowingParams(m, 0.0, omega).draw(rng, 1, (size,))[:, 0])
 
 
 class TestNakagami:
     def test_rejects_bad_parameters(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_nakagami(0.0, 1.0, rng)
+            ShadowingParams(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            sample_nakagami(1.0, 0.0, rng)
+            ShadowingParams(np.inf, 0.0, 1.0)
 
     def test_degenerate_for_large_shape(self):
         # m -> inf concentrates Z^2 at omega
         rng = np.random.default_rng(1)
-        z = sample_nakagami(1e6, 1.0, rng, size=1_000_000)
+        z = los_amplitudes(1e6, 1.0, rng, 1_000_000)
         assert np.var(z**2) < 1e-5
 
     def test_second_moment_ils(self):
         rng = np.random.default_rng(2)
-        z2 = sample_nakagami(19.4, 1.29, rng, size=1_000_000) ** 2
+        z2 = los_amplitudes(19.4, 1.29, rng, 1_000_000) ** 2
         assert abs(z2.mean() - 1.29) <= 3 * se_of_mean(z2)
 
     def test_fourth_moment_fhs(self):
         m, omega = 0.739, 8.97e-4
         rng = np.random.default_rng(3)
-        z4 = sample_nakagami(m, omega, rng, size=1_000_000) ** 4
+        z4 = los_amplitudes(m, omega, rng, 1_000_000) ** 4
         expected = (1 + 1 / m) * omega**2
         assert abs(z4.mean() - expected) <= 3 * se_of_mean(z4)
 
@@ -83,15 +93,19 @@ class TestNakagami:
 class TestChannelSampling:
     def test_no_los_no_scatter_gives_zero_vector(self):
         rng = np.random.default_rng(0)
-        ch = sample_channel(ShadowingParams(m=1.0, beta=0.0, omega=0.0), 4, rng)
-        assert np.all(ch.h == 0)
+        h = ShadowingParams(m=1.0, beta=0.0, omega=0.0).draw(rng, 4, ())
+        assert h.shape == (4,)
+        assert np.all(h == 0)
 
     def test_los_amplitude_shared_across_antennas(self):
+        # without scatter every element has modulus Z; Z differs per draw
         rng = np.random.default_rng(1)
-        ch = sample_channel(SCENARIOS["ILS"], 8, rng)
-        assert np.isscalar(ch.los_amplitude)
-        assert ch.los_phases.shape == (8,)
-        assert ch.h.shape == (8,)
+        ils = SCENARIOS["ILS"]
+        h = ShadowingParams(ils.m, 0.0, ils.omega).draw(rng, 8, (3,))
+        assert h.shape == (3, 8)
+        z = np.abs(h)
+        assert np.allclose(z, z[:, :1], rtol=1e-12)
+        assert len(set(z[:, 0])) == 3
 
     def test_mean_vector_power_as(self):
         # E[||h||^2] = L (2 beta + omega)
@@ -136,21 +150,21 @@ class TestChannelSampling:
     def test_antenna_count_validated(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_channel(SCENARIOS["AS"], 0, rng)
+            SCENARIOS["AS"].draw(rng, 0, ())
 
 
 class TestEstimationError:
     def test_zero_variance_is_identity(self):
         rng = np.random.default_rng(0)
-        ch = sample_channel(SCENARIOS["AS"], 8, rng)
-        est = apply_estimation_error(ch, 0.0, rng)
-        assert np.array_equal(est.h_hat, ch.h)
+        h = SCENARIOS["AS"].draw(rng, 8, ())
+        state = rng.bit_generator.state
+        assert np.array_equal(h + estimation_noise(h.shape, 0.0, rng), h)
+        assert rng.bit_generator.state == state  # no draws consumed
 
     def test_negative_variance_rejected(self):
         rng = np.random.default_rng(0)
-        ch = sample_channel(SCENARIOS["AS"], 8, rng)
         with pytest.raises(ValueError):
-            apply_estimation_error(ch, -0.1, rng)
+            estimation_noise((8,), -0.1, rng)
 
     def test_estimated_vector_power(self):
         # E[||h_hat||^2] = L (2 beta + sigma_e2 + omega)
@@ -201,26 +215,6 @@ class TestGeometry:
             los_probability(0.0, 45.0)
 
 
-class TestUserPositions:
-    def test_positions_inside_disk(self):
-        rng = np.random.default_rng(0)
-        pos = sample_user_positions(10.0, 1, rng)
-        assert pos.shape == (1, 2)
-        assert np.linalg.norm(pos[0]) <= 10.0
-
-    def test_mean_radius_uniform_disk(self):
-        rng = np.random.default_rng(11)
-        pos = sample_user_positions(10.0, 1_000_000, rng)
-        r = np.linalg.norm(pos, axis=1)
-        assert abs(r.mean() - 20.0 / 3.0) <= 3 * se_of_mean(r)
-
-    def test_quarter_mass_inside_half_radius(self):
-        rng = np.random.default_rng(12)
-        pos = sample_user_positions(10.0, 1_000_000, rng)
-        frac = (np.linalg.norm(pos, axis=1) <= 5.0).astype(float)
-        assert abs(frac.mean() - 0.25) <= 3 * se_of_mean(frac)
-
-
 class TestDynamicChannel:
     def test_zenith_always_los(self):
         scen = DynamicScenario()
@@ -239,16 +233,19 @@ class TestDynamicChannel:
         assert abs(p.mean() - target) <= 3 * se_of_mean(p)
 
     def test_branch_frequency_matches_probability(self):
-        scen = DynamicScenario()
+        # without scatter |h| is the LOS amplitude: ILS ones concentrate near
+        # sqrt(1.29) while FHS ones are below ~0.2, so it classifies the
+        # sampled branch exactly
+        ils, fhs = SCENARIOS["ILS"], SCENARIOS["FHS"]
+        scen = DynamicScenario(
+            los_params=ShadowingParams(ils.m, 0.0, ils.omega),
+            nlos_params=ShadowingParams(fhs.m, 0.0, fhs.omega),
+        )
         elev = 60.0
         prob = los_probability(scen.eta, elev)
         rng = np.random.default_rng(2)
-        # ILS LOS amplitudes concentrate near sqrt(1.29) while FHS ones are
-        # below ~0.2, so the amplitude classifies the sampled branch exactly
         n_draws = 2000
-        los = np.array(
-            [sample_dynamic_channel(scen, elev, 1, rng).los_amplitude > 0.5 for _ in range(n_draws)]
-        )
+        los = np.abs(sample_dynamic_channel_array(scen, np.full(n_draws, elev), 1, rng)[:, 0]) > 0.5
         assert abs(los.mean() - prob) <= 3 * np.sqrt(prob * (1 - prob) / n_draws)
 
     def test_mixture_moment_at_fixed_elevation(self):
@@ -264,12 +261,28 @@ class TestDynamicChannel:
     def test_disk_mixture_moment(self):
         scen = DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)
         rng = np.random.default_rng(3)
-        n = 100_000
-        radii = 10.0 * np.sqrt(rng.random(n))
-        elev = elevation_angle(radii, 600.0)
-        h = sample_dynamic_channel_array(scen, elev, 1, rng)
+        h = scen.draw(rng, 1, (100_000,))
         p = np.abs(h[:, 0]) ** 2
-        assert abs(p.mean() - dynamic_mean_element_power(scen)) <= 3 * se_of_mean(p)
+        assert abs(p.mean() - scen.element_power()) <= 3 * se_of_mean(p)
+
+    def test_disk_mixture_moment_wide_disk(self):
+        # at radius = altitude the LOS probability falls from 1 to exp(-eta)
+        # across the disk, so the mean power depends on users being uniform
+        # in area (radius ~ sqrt(uniform)); uniform radii would give a mean
+        # about 0.08 higher, some 30 standard errors here
+        scen = DynamicScenario(radius_km=600.0, altitude_km=600.0, eta=0.35)
+        rng = np.random.default_rng(4)
+        h = scen.draw(rng, 1, (200_000,))
+        p = np.abs(h[:, 0]) ** 2
+        assert abs(p.mean() - scen.element_power()) <= 3 * se_of_mean(p)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("radius_km", np.inf), ("radius_km", np.nan), ("altitude_km", np.inf), ("eta", np.inf), ("eta", np.nan)],
+    )
+    def test_non_finite_geometry_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DynamicScenario(**{field: value})
 
     def test_disk_mean_los_probability_against_quadrature(self):
         scen = DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)

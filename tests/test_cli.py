@@ -85,6 +85,23 @@ class TestAnalyze:
         assert code == 2
         assert "G*Q*Theta must be < T" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--gain", "--pt-linear", "inf"],
+            ["analyze", "--gain", "--sigma-e2", "inf"],
+            ["analyze", "--gain", "--m", "2.0", "--beta", "nan", "--omega", "0.5"],
+            ["simulate", "--m", "inf", "--beta", "0.1", "--omega", "1", "--trials", "1000"],
+        ],
+    )
+    def test_non_finite_input_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert "nan" not in out
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "analyze", "--config", "/nonexistent/path.cfg")
         assert code == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from vccsat.analysis import (
 from vccsat.channel import SCENARIOS, DynamicScenario, substream
 from vccsat.experiments import (
     BATCH_TRIALS,
-    dynamic_alpha2,
-    mc_dynamic_gain,
     mc_effective_gain,
     mc_moment_oracle,
     mc_rate_table,
@@ -134,16 +134,14 @@ class TestPowerContract:
         assert abs(res.mean - config.p_t) <= 3 * res.std_error
 
     def test_dynamic_power_matches_target(self):
-        config = make_config(l_antennas=4, shadowing=SCENARIOS["ILS"])
-        scen = DynamicScenario()
-        res = mc_transmit_power(config, trials=50_000, seed=10, dynamic=scen)
+        config = make_config(l_antennas=4, shadowing=DynamicScenario())
+        res = mc_transmit_power(config, trials=50_000, seed=10)
         assert abs(res.mean - config.p_t) <= 3 * res.std_error
 
     def test_dynamic_alpha2_uses_mixture_power(self):
         config = make_config(shadowing=SCENARIOS["ILS"])
-        scen = DynamicScenario()
         a_static = alpha2_closed_form(config)
-        a_dyn = dynamic_alpha2(scen, config)
+        a_dyn = alpha2_closed_form(replace(config, shadowing=DynamicScenario()))
         # mixture power is slightly below the pure-LOS scenario power
         assert a_dyn > a_static
         assert a_dyn == pytest.approx(a_static, rel=0.02)
@@ -189,8 +187,8 @@ class TestDynamicGain:
         # a vanishing coverage disk pins every user at the zenith, where the
         # mixture is almost surely the LOS (ILS) branch
         config = make_config(l_antennas=4, q_mux=2, shadowing=SCENARIOS["ILS"])
-        scen = DynamicScenario(radius_km=1e-6)
-        dyn = mc_dynamic_gain(scen, config, q_max=4, q_max_baseline=4, trials=20_000, seed=11)
+        dyn_config = replace(config, shadowing=DynamicScenario(radius_km=1e-6))
+        dyn = mc_effective_gain(dyn_config, q_max=4, q_max_baseline=4, trials=20_000, seed=11)
         static = mc_effective_gain(config, q_max=4, q_max_baseline=4, trials=20_000, seed=11)
         tol = 4 * np.hypot(dyn.gain_stderr, static.gain_stderr)
         assert abs(dyn.gain - static.gain) <= tol
@@ -211,6 +209,12 @@ class TestSweep:
         assert "sigma_e2" in table.rows[1]["error"]
         assert "gain_analytic" in table.rows[0]
 
+    def test_closed_form_on_mixture_recorded_in_row(self):
+        config = make_config(shadowing=DynamicScenario())
+        table = sweep(config, "pt_db", [10.0], evaluator="closed-form")
+        assert "no closed-form" in table.rows[0]["error"]
+        assert "gain_analytic" not in table.rows[0]
+
     def test_power_sweep_fast_path_matches_per_point_calls(self):
         config = make_config()
         table = sweep(
@@ -223,8 +227,6 @@ class TestSweep:
             trials=4000,
             seed=13,
         )
-        from dataclasses import replace
-
         for row in table.rows:
             cfg = replace(config, p_t=10 ** (row["pt_db"] / 10))
             direct = mc_effective_gain(cfg, q_max=4, q_max_baseline=4, trials=4000, seed=13)
@@ -241,35 +243,6 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(make_config(), "pt_db", [])
-
-    def test_csv_text_shape(self):
-        table = sweep(make_config(), "pt_db", [0.0, 9.0], evaluator="closed-form")
-        text = table.to_csv_text()
-        lines = text.strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].startswith("pt_db,")
-
-    def test_json_provenance_carries_config_and_version(self):
-        import json
-
-        from vccsat import __version__
-
-        table = sweep(make_config(), "pt_db", [6.0], evaluator="closed-form")
-        data = json.loads(json.dumps(table.to_json_dict()))
-        prov = data["provenance"]
-        assert prov["version"] == __version__
-        assert prov["config"]["l_antennas"] == 8
-        assert prov["config"]["shadowing"]["m"] == pytest.approx(10.1)
-
-    def test_file_emission(self, tmp_path):
-        import json
-
-        table = sweep(make_config(), "pt_db", [0.0, 9.0], evaluator="closed-form")
-        table.write_csv(tmp_path / "t.csv")
-        table.write_json(tmp_path / "t.json")
-        assert (tmp_path / "t.csv").read_text().startswith("pt_db,")
-        data = json.loads((tmp_path / "t.json").read_text())
-        assert len(data["rows"]) == 2
 
 
 class TestOracleSuite:

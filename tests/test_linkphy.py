@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-import json
-
 from vccsat.channel import SCENARIOS, scenario, substream
 from vccsat.linkphy import (
     ChannelBlock,
     SystemConfig,
-    block_debug_dict,
     compute_sinr,
     effective_sum_rate,
     full_signal_roundtrip,
     inter_group_component,
     intra_group_reference,
-    mf_precoder,
     sample_block,
     sinr_batch,
     transmit_vector,
@@ -59,36 +55,52 @@ class TestSystemConfig:
     def test_n_users(self):
         assert make_config().n_users == 24
 
+    @pytest.mark.parametrize(
+        "field,value", [("p_t", np.inf), ("p_t", np.nan), ("sigma_e2", np.inf), ("sigma_e2", np.nan)]
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_config(**{field: value})
+
+
+def one_group_block(est_h: np.ndarray) -> ChannelBlock:
+    """A one-group block whose estimates are the (Q, L) rows of est_h."""
+    return ChannelBlock(true_h=np.zeros_like(est_h)[None], est_h=est_h[None])
+
 
 class TestMfPrecoder:
+    # matched-filter precoding: the transmit vector is alpha * Hhat^H s, so
+    # user b's precoder is the conjugate of its estimate row
     def test_unit_vector_self_precodes(self):
-        e1 = np.zeros((1, 4))
+        e1 = np.zeros((1, 4), dtype=complex)
         e1[0, 0] = 1.0
-        v = mf_precoder(e1)
-        assert v.shape == (4, 1)
-        assert np.array_equal(v[:, 0], e1[0])
+        x = transmit_vector(one_group_block(e1), 1.0, np.ones((1, 1)))
+        assert x.shape == (4,)
+        assert np.array_equal(x, e1[0])
 
     def test_columns_are_conjugated_rows(self):
         rng = substream(0, 1)
         est = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        v = mf_precoder(est)
-        assert v.shape == (5, 3)
         for b in range(3):
-            assert np.array_equal(v[:, b], est[b].conj())
+            symbols = np.zeros((1, 3))
+            symbols[0, b] = 1.0
+            x = transmit_vector(one_group_block(est), 1.0, symbols)
+            assert np.array_equal(x, est[b].conj())
 
     def test_matched_inner_product_identity(self):
         # h^T v_b = ||h||^2 + h^T err^* when the estimate is h + err
         rng = substream(0, 2)
         h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         err = 0.1 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        v = mf_precoder((h + err)[None, :])
-        lhs = h @ v[:, 0]
+        x = transmit_vector(one_group_block((h + err)[None, :]), 1.0, np.ones((1, 1)))
+        lhs = h @ x
         rhs = np.linalg.norm(h) ** 2 + h @ err.conj()
         assert lhs == pytest.approx(rhs)
 
     def test_dimension_check(self):
+        # precoding needs the stacked (G, Q, L) estimates
         with pytest.raises(ValueError):
-            mf_precoder(np.ones(4))
+            ChannelBlock(true_h=np.ones((2, 4)), est_h=np.ones((2, 4)))
 
 
 class TestSinr:
@@ -214,15 +226,3 @@ class TestSignalRoundtrip:
         block = sample_block(config, rng)
         with pytest.raises(ValueError):
             full_signal_roundtrip(block, config, 0.4, np.ones((2, 3)), np.ones((2, 2)))
-
-
-class TestBlockDebugDump:
-    def test_dump_is_json_ready_and_consistent(self):
-        config = make_config(g_groups=2, q_mux=2, l_antennas=4)
-        rng = substream(3, 0)
-        block = sample_block(config, rng)
-        dump = json.loads(json.dumps(block_debug_dict(block, config, 0.5)))
-        assert np.asarray(dump["true_h_real"]).shape == (2, 2, 4)
-        sinr = compute_sinr(block, config, 0.5)
-        assert np.allclose(dump["sinr"], sinr)
-        assert dump["effective_sum_rate"] == pytest.approx(effective_sum_rate(sinr, config))
