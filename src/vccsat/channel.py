@@ -163,10 +163,14 @@ class DynamicScenario:
         nlos = self.nlos_params.mean_element_power + sigma_e2
         return p * los + (1.0 - p) * nlos
 
+    def user_radii(self, rng, size) -> np.ndarray:
+        """Distances (km) from the disk centre of users uniform in area."""
+        return self.radius_km * np.sqrt(rng.random(size))
+
     def draw(self, rng, n_antennas: int, size) -> np.ndarray:
         """Channels of shape (*size, n_antennas) for users uniform on the
         disk: the radius sets the elevation, which sets the LOS probability."""
-        radii = self.radius_km * np.sqrt(rng.random(size))
+        radii = self.user_radii(rng, size)
         elevations = elevation_angle(radii, self.altitude_km)
         return sample_dynamic_channel_array(self, elevations, n_antennas, rng)
 

@@ -215,6 +215,25 @@ class TestGeometry:
             los_probability(0.0, 45.0)
 
 
+class TestUserPositions:
+    def test_positions_inside_disk(self):
+        rng = np.random.default_rng(0)
+        r = DynamicScenario(radius_km=10.0).user_radii(rng, (1,))
+        assert r.shape == (1,)
+        assert 0.0 <= r[0] <= 10.0
+
+    def test_mean_radius_uniform_disk(self):
+        rng = np.random.default_rng(11)
+        r = DynamicScenario(radius_km=10.0).user_radii(rng, (1_000_000,))
+        assert abs(r.mean() - 20.0 / 3.0) <= 3 * se_of_mean(r)
+
+    def test_quarter_mass_inside_half_radius(self):
+        rng = np.random.default_rng(12)
+        r = DynamicScenario(radius_km=10.0).user_radii(rng, (1_000_000,))
+        frac = (r <= 5.0).astype(float)
+        assert abs(frac.mean() - 0.25) <= 3 * se_of_mean(frac)
+
+
 class TestDynamicChannel:
     def test_zenith_always_los(self):
         scen = DynamicScenario()
