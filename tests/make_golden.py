@@ -33,6 +33,8 @@ RUNS = {
     **{f"figure{n}_analytic": ["figure", str(n), "--analytic-only", "--outdir", "."] for n in range(1, 7)},
     "simulate_gain": ["simulate", "--gain", "--trials", "600", "--seed", "2", "--out", "simulate"],
     "analyze_gain": ["analyze", "--gain", "--json", "analyze.json"],
+    "validate": ["validate", "--trials", "600", "--seed", "3"],
+    "schedule": ["schedule", "--states", "5", "--t", "2", "--users-per-group", "2", "--q", "2", "--out", "schedule.json"],
 }
 _CREATED_UTC = re.compile(rb'"created_utc": "[^"]*"')
 
