@@ -32,7 +32,7 @@ from .channel import (
 from .experiments import (
     MomentOracleResult,
     RateEstimate,
-    SweepTable,
+    SweepRow,
     mc_effective_gain,
     mc_moment_oracle,
     mc_sum_rate,

@@ -405,37 +405,34 @@ def cmd_figure(args: argparse.Namespace) -> int:
     for curve in curves:
         config = curve["config"]
         offset = snr_ave_db(1.0, config.shadowing)
-        mc = not args.analytic_only
         # a curve without a closed form (the LOS/NLOS mixture) leaves its
         # analytic columns empty
-        table = experiments.sweep(
+        rows = []
+        for r in experiments.sweep(
             config,
-            "pt_db",
             FIGURE_PT_GRID_DB,
-            quantity="gain",
-            evaluator="both" if mc else "closed-form",
             q_max=curve["q_max"],
             q_max_baseline=curve["q_max_baseline"],
             trials=trials,
             seed=seed,
             workers=workers,
-        )
-        rows = []
-        for r in table.rows:
+            monte_carlo=not args.analytic_only,
+        ):
+            best = r.mc or r.analytic
             rows.append(
                 {
-                    "pt_db": r["pt_db"],
-                    "snr_ave_db": r["pt_db"] + offset,
+                    "pt_db": r.pt_db,
+                    "snr_ave_db": r.pt_db + offset,
                     "scenario": curve["label"],
                     "L": config.l_antennas,
                     "G": config.g_groups,
-                    "Q_best_vcc": r.get("q_best_vcc_mc" if mc else "q_best_vcc_analytic"),
-                    "Q_best_base": r.get("q_best_base_mc" if mc else "q_best_base_analytic"),
-                    "rate_vcc": r.get("rate_vcc_mc" if mc else "rate_vcc_analytic"),
-                    "rate_base": r.get("rate_base_mc" if mc else "rate_base_analytic"),
-                    "gain_analytic": r.get("gain_analytic"),
-                    "gain_mc": r.get("gain_mc"),
-                    "mc_stderr": r.get("mc_stderr"),
+                    "Q_best_vcc": getattr(best, "best_q_vcc", None),
+                    "Q_best_base": getattr(best, "best_q_baseline", None),
+                    "rate_vcc": getattr(best, "rate_vcc", None),
+                    "rate_base": getattr(best, "rate_baseline", None),
+                    "gain_analytic": getattr(r.analytic, "gain", None),
+                    "gain_mc": getattr(r.mc, "gain", None),
+                    "mc_stderr": getattr(r.mc, "gain_stderr", None),
                     "seed": seed,
                 }
             )
@@ -508,23 +505,26 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(parser: argparse.ArgumentParser, with_mc: bool = True) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, point: bool = True, caps: bool = True, mc: bool = True) -> None:
+    # a command registers only the flags it reads
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--scenario", choices=sorted(SCENARIOS) + [s.lower() for s in SCENARIOS], help="shadowing preset")
-    parser.add_argument("--m", type=float, help="custom Nakagami shape")
-    parser.add_argument("--beta", type=float, help="custom half scattering power")
-    parser.add_argument("--omega", type=float, help="custom LOS power")
-    parser.add_argument("--L", dest="l", type=int, help="transmit antennas")
-    parser.add_argument("--G", dest="g", type=int, help="caching gain (groups per stage; 1 = baseline)")
-    parser.add_argument("--Q", dest="q", type=int, help="multiplexed users per group")
-    parser.add_argument("--pt-db", dest="pt_db", type=float, help="transmit power in dB")
-    parser.add_argument("--pt-linear", dest="pt_linear", type=float, help="transmit power, linear")
-    parser.add_argument("--sigma-e2", dest="sigma_e2", type=float, help="CSIT error variance")
+    if point:
+        parser.add_argument("--scenario", choices=sorted(SCENARIOS) + [s.lower() for s in SCENARIOS], help="shadowing preset")
+        parser.add_argument("--m", type=float, help="custom Nakagami shape")
+        parser.add_argument("--beta", type=float, help="custom half scattering power")
+        parser.add_argument("--omega", type=float, help="custom LOS power")
+        parser.add_argument("--L", dest="l", type=int, help="transmit antennas")
+        parser.add_argument("--G", dest="g", type=int, help="caching gain (groups per stage; 1 = baseline)")
+        parser.add_argument("--Q", dest="q", type=int, help="multiplexed users per group")
+        parser.add_argument("--pt-db", dest="pt_db", type=float, help="transmit power in dB")
+        parser.add_argument("--pt-linear", dest="pt_linear", type=float, help="transmit power, linear")
+        parser.add_argument("--sigma-e2", dest="sigma_e2", type=float, help="CSIT error variance")
     parser.add_argument("--T", dest="t", type=int, help="coherence block length in symbols")
     parser.add_argument("--theta", type=int, help="pilot symbols per user per block")
-    parser.add_argument("--q-max", dest="q_max", type=int, help="VCC multiplexing cap for gain search")
-    parser.add_argument("--q-max-baseline", dest="q_max_baseline", type=int, help="baseline multiplexing cap")
-    if with_mc:
+    if caps:
+        parser.add_argument("--q-max", dest="q_max", type=int, help="VCC multiplexing cap for gain search")
+        parser.add_argument("--q-max-baseline", dest="q_max_baseline", type=int, help="baseline multiplexing cap")
+    if mc:
         parser.add_argument("--trials", type=int, help="Monte Carlo trials")
         parser.add_argument("--seed", type=int, help="master seed")
         parser.add_argument("--workers", type=int, help="parallel batch workers")
@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="closed-form quantities at one operating point")
-    _add_config_flags(p, with_mc=False)
+    _add_config_flags(p, mc=False)
     p.add_argument("--gain", action="store_true", help="also optimise Q and report the effective gain")
     p.add_argument("--json", help="write results to this JSON file")
     p.set_defaults(func=cmd_analyze)
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="reproduce the data behind one of the six result figures")
     p.add_argument("figure", type=int, help="figure id, 1..6")
-    _add_config_flags(p)
+    _add_config_flags(p, point=False, caps=False)
     p.add_argument("--outdir", default="figures", help="output directory")
     p.add_argument("--analytic-only", action="store_true", help="skip the Monte Carlo columns")
     p.set_defaults(func=cmd_figure)
@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("validate", help="run the closed-form-vs-Monte-Carlo oracle suite")
-    _add_config_flags(p)
+    _add_config_flags(p, caps=False)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -1,4 +1,4 @@
-"""Monte Carlo engine: rate/gain estimation, moment oracles, sweeps.
+"""Monte Carlo engine: rate/gain estimation, moment oracles, power sweep.
 
 Trials are split into fixed-size batches; batch j draws from the named
 substream (seed, stream-tag, j) and partial sums are combined in batch-index
@@ -21,7 +21,6 @@ from .channel import (
     ShadowingParams,
     estimation_noise,
     sample_channel_array,
-    scenario,
     substream,
 )
 from .linkphy import SystemConfig
@@ -338,124 +337,61 @@ def mc_transmit_power(
 
 
 # ---------------------------------------------------------------------------
-# Parameter sweeps
+# Power sweep
 # ---------------------------------------------------------------------------
 
-_DB_PARAM = "pt_db"
+@dataclass(frozen=True)
+class SweepRow:
+    """One transmit power of a gain sweep: the closed-form and Monte Carlo
+    Q-optimised gains, None where not evaluated; `error` says why the closed
+    form is missing."""
 
-
-@dataclass
-class SweepTable:
-    """One row per grid point, with whichever of the analytic and Monte Carlo
-    evaluations were requested; failures are recorded per row."""
-
-    param: str
-    rows: list[dict]
-
-
-def _apply_param(config: SystemConfig, param: str, value) -> SystemConfig:
-    if param == _DB_PARAM:
-        return replace(config, p_t=10.0 ** (float(value) / 10.0))
-    if param == "scenario":
-        return replace(config, shadowing=scenario(value))
-    return replace(config, **{param: value})
+    pt_db: float
+    analytic: analysis.GainResult | None
+    mc: analysis.GainResult | None
+    error: str | None
 
 
 def sweep(
     config: SystemConfig,
-    param: str,
-    values: Sequence,
-    quantity: str = "gain",
-    evaluator: str = "both",
+    pt_db_values: Sequence[float],
     q_max: int = 8,
     q_max_baseline: int = 8,
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-) -> SweepTable:
-    """Evaluate the closed form and/or the Monte Carlo estimate of the rate
-    or gain at each grid point; a failing point is recorded in its row and
-    the sweep continues.
+    monte_carlo: bool = True,
+) -> list[SweepRow]:
+    """Closed-form and (unless `monte_carlo` is false) Monte Carlo
+    Q-optimised gain at each transmit power in dB.
 
-    Sweeps over transmit power reuse one set of channel draws for the whole
-    grid (power only rescales alpha^2).  The LOS/NLOS mixture has no closed
-    form: with it as `config.shadowing`, each row records that error and any
-    Monte Carlo columns are still filled.
+    The Monte Carlo side is one `mc_gain_table` pass, so one set of channel
+    draws serves the whole grid (power only rescales alpha^2).  A
+    `ValueError` from the closed form, such as the LOS/NLOS mixture's missing
+    moments, is recorded in its row; every other error, Monte Carlo ones
+    included, propagates.
     """
-    if len(values) == 0:
+    if len(pt_db_values) == 0:
         raise ValueError("sweep grid must be nonempty")
-    if quantity not in ("gain", "rate"):
-        raise ValueError(f"quantity must be 'gain' or 'rate', got {quantity!r}")
-    if evaluator not in ("closed-form", "monte-carlo", "both"):
-        raise ValueError(f"unknown evaluator {evaluator!r}")
-    do_cf = evaluator in ("closed-form", "both")
-    do_mc = evaluator in ("monte-carlo", "both")
-
-    rows: list[dict] = []
-    configs: list[SystemConfig | None] = []
-    for value in values:
-        row: dict = {param: value, "error": None}
+    configs = [replace(config, p_t=10.0 ** (float(v) / 10.0)) for v in pt_db_values]
+    analytic: list[analysis.GainResult | None] = []
+    errors: list[str | None] = []
+    for cfg in configs:
         try:
-            configs.append(_apply_param(config, param, value))
-        except (ValueError, TypeError) as exc:
-            row["error"] = str(exc)
-            configs.append(None)
-        rows.append(row)
-
-    for row, cfg in zip(rows, configs):
-        if cfg is None or not do_cf:
-            continue
-        try:
-            if quantity == "rate":
-                row["rate_analytic"] = analysis.avg_sum_rate_closed_form(cfg)
-            else:
-                res = analysis.effective_gain_closed_form(cfg, q_max, q_max_baseline)
-                row["gain_analytic"] = res.gain
-                row["rate_vcc_analytic"] = res.rate_vcc
-                row["rate_base_analytic"] = res.rate_baseline
-                row["q_best_vcc_analytic"] = res.best_q_vcc
-                row["q_best_base_analytic"] = res.best_q_baseline
-        except (ValueError, ArithmeticError) as exc:
-            row["error"] = str(exc)
-
-    if do_mc:
-        if param == _DB_PARAM and quantity == "gain":
-            # fast path: single pass sharing draws across the power grid
-            good = [(row, cfg) for row, cfg in zip(rows, configs) if cfg is not None]
-            if good:
-                pts = [cfg.p_t for _, cfg in good]
-                try:
-                    gains = mc_gain_table(config, pts, q_max, q_max_baseline, trials, seed, workers)
-                    for (row, _), res in zip(good, gains):
-                        _fill_mc_gain(row, res)
-                except (ValueError, ArithmeticError) as exc:
-                    for row, _ in good:
-                        row["error"] = str(exc)
-        else:
-            for row, cfg in zip(rows, configs):
-                if cfg is None:
-                    continue
-                try:
-                    if quantity == "rate":
-                        est = mc_sum_rate(cfg, trials, seed, workers)
-                        row["rate_mc"] = est.mean
-                        row["mc_stderr"] = est.std_error
-                    else:
-                        res = mc_effective_gain(cfg, q_max, q_max_baseline, trials, seed, workers)
-                        _fill_mc_gain(row, res)
-                except (ValueError, ArithmeticError) as exc:
-                    row["error"] = str(exc)
-
-    return SweepTable(param=param, rows=rows)
-
-
-def _fill_mc_gain(row: dict, res: analysis.GainResult) -> None:
-    row["gain_mc"] = res.gain
-    row["rate_vcc_mc"] = res.rate_vcc
-    row["rate_base_mc"] = res.rate_baseline
-    row["q_best_vcc_mc"] = res.best_q_vcc
-    row["q_best_base_mc"] = res.best_q_baseline
-    row["mc_stderr"] = res.gain_stderr
+            analytic.append(analysis.effective_gain_closed_form(cfg, q_max, q_max_baseline))
+            errors.append(None)
+        except ValueError as exc:
+            analytic.append(None)
+            errors.append(str(exc))
+    mc = (
+        mc_gain_table(config, [cfg.p_t for cfg in configs], q_max, q_max_baseline, trials, seed, workers)
+        if monte_carlo
+        else [None] * len(configs)
+    )
+    return [
+        SweepRow(pt_db=float(v), analytic=a, mc=m, error=e)
+        for v, a, m, e in zip(pt_db_values, analytic, mc, errors)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +416,12 @@ def oracle_suite(
     """Validate the closed forms at one operating point: transmit-power
     contract (3 standard errors), xi1/xi2/desired moments (3 standard
     errors), the average-rate approximation (relative tolerance), and the
-    interference-term identity (1e-12, bit-identical across CSIT error)."""
+    interference-term identity (1e-12, bit-identical across CSIT error).
+
+    The closed-form moments are evaluated first, so a channel model without
+    them (the LOS/NLOS mixture) raises `ValueError` before any draw."""
+    cf = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
+    des = analysis.desired_signal_moment(config.shadowing, config.sigma_e2, config.l_antennas)
     checks: list[CheckResult] = []
 
     for label, cfg in (("vcc", config), ("baseline", replace(config, g_groups=1))):
@@ -496,8 +437,6 @@ def oracle_suite(
         )
 
     mom = mc_moment_oracle(config.shadowing, config.sigma_e2, config.l_antennas, moment_trials, seed, workers)
-    cf = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
-    des = analysis.desired_signal_moment(config.shadowing, config.sigma_e2, config.l_antennas)
     for name, mc_val, se, cf_val in (
         ("moment-xi1", mom.xi1, mom.xi1_stderr, cf.xi1),
         ("moment-xi2", mom.xi2, mom.xi2_stderr, cf.xi2),
@@ -521,8 +460,7 @@ def oracle_suite(
 
     if config.q_mux >= 2:
         a2 = analysis.alpha2_closed_form(config)
-        xi2 = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas).xi2
-        product = a2 * (config.q_mux - 1) * xi2
+        product = a2 * (config.q_mux - 1) * cf.xi2
         term = analysis.intra_interference_term(config)
         rel_id = abs(product - term) / term if term else abs(product - term)
         invariant = len(

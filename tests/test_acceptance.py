@@ -383,8 +383,7 @@ def test_c14_csv_determinism_across_workers(tmp_path):
     """Rerunning figure and simulate commands with the same seed produces
     byte-identical CSV output for any worker count."""
     mismatches = []
-    fig_args = ["figure", "1", "--trials", "2000", "--seed", "11",
-                "--q-max", "3", "--q-max-baseline", "3"]
+    fig_args = ["figure", "1", "--trials", "2000", "--seed", "11"]
     for workers, sub in (("1", "w1"), ("2", "w2"), ("4", "w4")):
         assert cli_main(fig_args + ["--outdir", str(tmp_path / sub), "--workers", workers]) == 0
     ref = (tmp_path / "w1" / "fig1_fhs_l8.csv").read_bytes()

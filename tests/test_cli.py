@@ -179,12 +179,29 @@ class TestFigure:
 
     def test_figure_rerun_byte_identical_across_workers(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["figure", "1", "--trials", "2000", "--seed", "3", "--q-max", "3", "--q-max-baseline", "3"]
+        args = ["figure", "1", "--trials", "2000", "--seed", "3"]
         code, _, _ = run(capsys, *args, "--outdir", str(a), "--workers", "1")
         assert code == 0
         code, _, _ = run(capsys, *args, "--outdir", str(b), "--workers", "2")
         assert code == 0
         assert (a / "fig1_fhs_l8.csv").read_bytes() == (b / "fig1_fhs_l8.csv").read_bytes()
+
+    def test_too_few_trials_fails_without_output(self, capsys, tmp_path):
+        code, _, err = run(capsys, "figure", "2", "--trials", "50", "--outdir", str(tmp_path))
+        assert code == 2
+        assert "error: trials must be >= 100, got 50" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure", "2", "--L", "16"], ["figure", "2", "--q-max", "3"], ["validate", "--q-max", "3"]],
+    )
+    def test_flag_the_command_ignores_is_rejected(self, capsys, argv):
+        # figure curves fix their own channel and q caps; validate has no gain search
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestSchedule:

@@ -170,16 +170,11 @@ class TestGainEstimation:
 
     def test_gain_sweep_tracks_closed_form_within_tolerance(self):
         # Q-optimised gains: analytic vs Monte Carlo per grid point
-        from vccsat.analysis import effective_gain_closed_form
-
         config = make_config(q_mux=2)
-        table = sweep(
-            config, "pt_db", [0.0, 9.0, 18.0], quantity="gain",
-            evaluator="both", trials=50_000, seed=0, workers=2,
-        )
-        for row in table.rows:
-            assert row["error"] is None
-            assert abs(row["gain_analytic"] - row["gain_mc"]) / row["gain_mc"] <= 0.05
+        rows = sweep(config, [0.0, 9.0, 18.0], trials=50_000, seed=0, workers=2)
+        for row in rows:
+            assert row.error is None
+            assert abs(row.analytic.gain - row.mc.gain) / row.mc.gain <= 0.05
 
 
 class TestDynamicGain:
@@ -196,53 +191,37 @@ class TestDynamicGain:
 
 class TestSweep:
     def test_single_point_grid(self):
-        table = sweep(make_config(), "pt_db", [10.0], evaluator="closed-form")
-        assert len(table.rows) == 1
-        assert table.rows[0]["error"] is None
-        assert table.rows[0]["gain_analytic"] > 1
-
-    def test_error_recorded_and_run_continues(self):
-        table = sweep(
-            make_config(), "sigma_e2", [0.125, -1.0], evaluator="closed-form"
-        )
-        assert table.rows[0]["error"] is None
-        assert "sigma_e2" in table.rows[1]["error"]
-        assert "gain_analytic" in table.rows[0]
+        rows = sweep(make_config(), [10.0], monte_carlo=False)
+        assert len(rows) == 1
+        assert rows[0].pt_db == 10.0
+        assert rows[0].error is None and rows[0].mc is None
+        assert rows[0].analytic.gain > 1
 
     def test_closed_form_on_mixture_recorded_in_row(self):
         config = make_config(shadowing=DynamicScenario())
-        table = sweep(config, "pt_db", [10.0], evaluator="closed-form")
-        assert "no closed-form" in table.rows[0]["error"]
-        assert "gain_analytic" not in table.rows[0]
+        rows = sweep(config, [10.0], monte_carlo=False)
+        assert "no closed-form" in rows[0].error
+        assert rows[0].analytic is None
 
     def test_power_sweep_fast_path_matches_per_point_calls(self):
         config = make_config()
-        table = sweep(
-            config,
-            "pt_db",
-            [3.0, 12.0],
-            evaluator="monte-carlo",
-            q_max=4,
-            q_max_baseline=4,
-            trials=4000,
-            seed=13,
-        )
-        for row in table.rows:
-            cfg = replace(config, p_t=10 ** (row["pt_db"] / 10))
+        rows = sweep(config, [3.0, 12.0], q_max=4, q_max_baseline=4, trials=4000, seed=13)
+        for row in rows:
+            cfg = replace(config, p_t=10 ** (row.pt_db / 10))
             direct = mc_effective_gain(cfg, q_max=4, q_max_baseline=4, trials=4000, seed=13)
-            assert row["gain_mc"] == direct.gain
-
-    def test_rate_quantity(self):
-        table = sweep(
-            make_config(), "l_antennas", [4, 8], quantity="rate", trials=1000, seed=0
-        )
-        for row in table.rows:
-            assert row["error"] is None
-            assert row["rate_mc"] > 0 and row["rate_analytic"] > 0
+            assert row.mc.gain == direct.gain
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep(make_config(), "pt_db", [])
+            sweep(make_config(), [])
+
+    def test_non_finite_power_rejected(self):
+        with pytest.raises(ValueError, match="p_t"):
+            sweep(make_config(), [10.0, float("inf")])
+
+    def test_monte_carlo_error_propagates(self):
+        with pytest.raises(ValueError, match="trials must be >= 100"):
+            sweep(make_config(), [10.0], trials=50)
 
 
 class TestOracleSuite:
@@ -261,3 +240,8 @@ class TestOracleSuite:
         } <= names
         failed = [c for c in checks if not c.passed]
         assert not failed, [f"{c.name}: {c.detail}" for c in failed]
+
+    def test_mixture_rejected_with_value_error(self):
+        config = make_config(shadowing=DynamicScenario())
+        with pytest.raises(ValueError, match="no closed-form"):
+            oracle_suite(config, rate_trials=1000, moment_trials=10_000, seed=0)
