@@ -35,6 +35,8 @@ RUNS = {
     "analyze_gain": ["analyze", "--gain", "--json", "analyze.json"],
     "validate": ["validate", "--trials", "600", "--seed", "3"],
     "schedule": ["schedule", "--states", "5", "--t", "2", "--users-per-group", "2", "--q", "2", "--out", "schedule.json"],
+    # three batches on two workers: pins the batch-order reduction
+    "figure6_batches": ["figure", "6", "--trials", "8500", "--seed", "3", "--workers", "2", "--outdir", "."],
 }
 _CREATED_UTC = re.compile(rb'"created_utc": "[^"]*"')
 
