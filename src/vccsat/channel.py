@@ -93,9 +93,48 @@ def _los_amplitudes(params: ShadowingParams, size, rng) -> np.ndarray:
     return np.sqrt(rng.gamma(shape=params.m, scale=params.omega / params.m, size=size))
 
 
-def _scatter(beta, size_with_l, rng) -> np.ndarray:
-    g = rng.standard_normal(tuple(size_with_l) + (2,))
-    return np.sqrt(beta) * (g[..., 0] + 1j * g[..., 1])
+def _complex_normals(scale, shape, rng) -> np.ndarray:
+    """Complex Gaussians of the given shape, real and imaginary parts each
+    `scale` times a standard normal; `scale` broadcasts against `shape`.
+
+    The (..., 2) normals are scaled in place and viewed as complex128, which
+    gives the same bits as `scale * (g[..., 0] + 1j * g[..., 1])` without its
+    complex temporaries."""
+    g = rng.standard_normal(tuple(shape) + (2,))
+    g *= np.asarray(scale)[..., None]
+    return g.view(np.complex128)[..., 0]
+
+
+# Size of the cos/sin buffer of one block of the LOS term: with the phases
+# and channel rows it reads, a block stays inside a typical L2 cache, where
+# whole-batch temporaries would raise the peak memory of a draw.
+_LOS_BLOCK_BYTES = 1 << 19
+
+
+def _rician(z: np.ndarray, scatter_std, n_antennas: int, rng) -> np.ndarray:
+    """Channels z * exp(j*theta_l) + scatter of shape (*z.shape, n_antennas):
+    draws the phases, then the scatter, then adds the LOS term into the
+    scatter by parts, h.real += z*cos(theta) and h.imag += z*sin(theta).
+
+    NumPy's complex exp(0 + j*theta) equals (cos theta, sin theta) bit for bit,
+    so this matches `z[..., None] * np.exp(1j * phases) + scatter` exactly
+    (tests/test_channel.py pins it)."""
+    shape = z.shape + (n_antennas,)
+    phases = rng.uniform(0.0, TWO_PI, size=shape).reshape(-1, n_antennas)
+    h = _complex_normals(scatter_std, shape, rng)
+    rows, z_col = h.reshape(-1, n_antennas), z.reshape(-1, 1)
+    step = max(1, _LOS_BLOCK_BYTES // (8 * n_antennas))
+    buf = np.empty((min(step, len(rows)), n_antennas))
+    for a in range(0, len(rows), step):
+        block = slice(a, min(a + step, len(rows)))
+        los = buf[: block.stop - a]
+        np.cos(phases[block], out=los)
+        los *= z_col[block]
+        rows.real[block] += los
+        np.sin(phases[block], out=los)
+        los *= z_col[block]
+        rows.imag[block] += los
+    return h
 
 
 def sample_channel_array(params: ShadowingParams, n_antennas: int, rng, size=()) -> np.ndarray:
@@ -108,9 +147,7 @@ def sample_channel_array(params: ShadowingParams, n_antennas: int, rng, size=())
         raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
     size = tuple(np.atleast_1d(size).astype(int)) if not isinstance(size, tuple) else size
     z = _los_amplitudes(params, size, rng)
-    phases = rng.uniform(0.0, TWO_PI, size=size + (n_antennas,))
-    scatter = _scatter(params.beta, size + (n_antennas,), rng)
-    return z[..., None] * np.exp(1j * phases) + scatter
+    return _rician(z, np.sqrt(params.beta), n_antennas, rng)
 
 
 def estimation_noise(shape, sigma_e2, rng) -> np.ndarray:
@@ -119,8 +156,7 @@ def estimation_noise(shape, sigma_e2, rng) -> np.ndarray:
         raise ValueError(f"sigma_e2 must be >= 0, got {sigma_e2}")
     if sigma_e2 == 0.0:
         return np.zeros(shape, dtype=complex)
-    g = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
-    return np.sqrt(0.5 * sigma_e2) * (g[..., 0] + 1j * g[..., 1])
+    return _complex_normals(np.sqrt(0.5 * sigma_e2), np.atleast_1d(shape), rng)
 
 
 def snr_ave_db(p_t_linear, params: ShadowingParams | DynamicScenario) -> float:
@@ -213,11 +249,8 @@ def sample_dynamic_channel_array(scen: DynamicScenario, elevations_deg, n_antenn
     z_los = _los_amplitudes(scen.los_params, elev.shape, rng)
     z_nlos = _los_amplitudes(scen.nlos_params, elev.shape, rng)
     z = np.where(states, z_los, z_nlos)
-    phases = rng.uniform(0.0, TWO_PI, size=elev.shape + (n_antennas,))
-    g = rng.standard_normal(elev.shape + (n_antennas, 2))
     scatter_std = np.where(states, np.sqrt(scen.los_params.beta), np.sqrt(scen.nlos_params.beta))
-    scatter = scatter_std[..., None] * (g[..., 0] + 1j * g[..., 1])
-    return z[..., None] * np.exp(1j * phases) + scatter
+    return _rician(z, scatter_std[..., None], n_antennas, rng)
 
 
 def disk_mean_los_probability(scen: DynamicScenario) -> float:

@@ -103,10 +103,19 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _resolved(args: argparse.Namespace) -> dict:
-    """defaults < config file < command-line flags."""
+    """defaults < config file < command-line flags.
+
+    A config file may set only the keys the command registers as flags; any
+    other key would be ignored, so it is rejected."""
     values = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
+        from_file = parse_config_file(args.config)
+        unread = sorted(set(from_file) - set(vars(args)))
+        if unread:
+            raise ValueError(
+                f"{args.config}: vccsat {args.command} does not read config key(s) {', '.join(unread)}"
+            )
+        values.update(from_file)
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -247,23 +256,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # simulate / validate
 # ---------------------------------------------------------------------------
 
-def _run_oracle_suite(config: SystemConfig, values: dict) -> int:
-    checks = experiments.oracle_suite(
-        config,
-        rate_trials=values["trials"],
-        moment_trials=max(values["trials"], 10_000) * 10,
-        seed=values["seed"],
-        workers=values["workers"],
-    )
-    failures = 0
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"[{status}] {check.name}: {check.detail}")
-        failures += 0 if check.passed else 1
-    print(f"oracle suite: {len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 1
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     values = _resolved(args)
     config = _system_config(values)
@@ -271,9 +263,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(
             "Q must be >= 2 for gain comparisons (precoding-free operation is excluded)"
         )
-    if args.validate:
-        return _run_oracle_suite(config, values)
-
     seed, trials, workers = values["seed"], values["trials"], values["workers"]
     est = experiments.mc_sum_rate(config, trials, seed, workers)
     cf = analysis.avg_sum_rate_closed_form(config)
@@ -326,7 +315,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     values = _resolved(args)
-    return _run_oracle_suite(_system_config(values), values)
+    checks = experiments.oracle_suite(
+        _system_config(values),
+        rate_trials=values["trials"],
+        moment_trials=max(values["trials"], 10_000) * 10,
+        seed=values["seed"],
+        workers=values["workers"],
+    )
+    failures = 0
+    for check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        print(f"[{status}] {check.name}: {check.detail}")
+        failures += 0 if check.passed else 1
+    print(f"oracle suite: {len(checks) - failures}/{len(checks)} checks passed")
+    return 0 if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo rate (and gain) at one operating point")
     _add_config_flags(p)
     p.add_argument("--gain", action="store_true", help="also estimate the Q-optimised effective gain")
-    p.add_argument("--validate", action="store_true", help="run the oracle suite instead; exit 1 on failure")
     p.add_argument("--out", default="simulate", help="output path stem for .csv/.json")
     p.set_defaults(func=cmd_simulate)
 

@@ -106,7 +106,8 @@ def _draw(config: SystemConfig, q_width: int):
 
     def draw(rng, n):
         h = config.shadowing.draw(rng, config.l_antennas, (n, n_users))
-        h_hat = h + estimation_noise(h.shape, config.sigma_e2, rng)
+        h_hat = estimation_noise(h.shape, config.sigma_e2, rng)
+        h_hat += h
         return h.reshape((n,) + shape), h_hat.reshape((n,) + shape)
 
     return draw
@@ -138,18 +139,25 @@ def _rate_table_raw(
     def worker(j: int, n: int) -> np.ndarray:
         rng = substream(seed, stream, j)
         h, h_hat = draw(rng, n)
-        # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul
-        inner = h @ h_hat.conj().swapaxes(-1, -2)
+        # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul; the
+        # estimates are conjugated in place, as nothing else reads them
+        inner = h @ np.conjugate(h_hat, out=h_hat).swapaxes(-1, -2)
         power = inner.real**2 + inner.imag**2
         out = np.empty((len(pt_values), len(q_grid), 2))
         for qi, q in enumerate(q_grid):
             pq = power[:, :, :q, :q]
-            signal = np.diagonal(pq, axis1=2, axis2=3)
+            signal = np.diagonal(pq, axis1=2, axis2=3).copy()
             interference = pq.sum(axis=3) - signal
+            sinr, denominator = np.empty_like(signal), np.empty_like(signal)
             for pi in range(len(pt_values)):
+                # sinr = a2 * signal / (1 + a2 * interference), into reused buffers
                 a2 = alpha2[pi, qi]
-                sinr = a2 * signal / (1.0 + a2 * interference)
-                rates = xi[qi] * _INV_LN2 * np.log1p(sinr).sum(axis=(1, 2))
+                np.multiply(a2, interference, out=denominator)
+                np.add(1.0, denominator, out=denominator)
+                np.multiply(a2, signal, out=sinr)
+                np.divide(sinr, denominator, out=sinr)
+                np.log1p(sinr, out=sinr)
+                rates = xi[qi] * _INV_LN2 * sinr.sum(axis=(1, 2))
                 out[pi, qi, 0] = rates.sum()
                 out[pi, qi, 1] = (rates * rates).sum()
         return out
@@ -277,9 +285,11 @@ def mc_moment_oracle(
     def worker(j: int, n: int) -> np.ndarray:
         rng = substream(seed, _STREAM_MOMENTS, j)
         h = sample_channel_array(params, l_antennas, rng, size=(n,))
-        h_hat_own = h + estimation_noise(h.shape, sigma_e2, rng)
+        h_hat_own = estimation_noise(h.shape, sigma_e2, rng)
+        h_hat_own += h
         h_other = sample_channel_array(params, l_antennas, rng, size=(n,))
-        h_hat_other = h_other + estimation_noise(h.shape, sigma_e2, rng)
+        h_hat_other = estimation_noise(h.shape, sigma_e2, rng)
+        h_hat_other += h_other
         norm2 = (h.real**2 + h.imag**2).sum(axis=1)
         xi1_s = norm2 * norm2
         own = np.einsum("nl,nl->n", h, h_hat_own.conj())

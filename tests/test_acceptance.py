@@ -31,6 +31,8 @@ from vccsat.linkphy import (
     intra_group_reference,
 )
 
+pytestmark = pytest.mark.slow  # deselect with -m "not slow" for a fast loop
+
 WORKERS = 2
 PT_GRID_DB = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0]
 PT_TABLE_II_DB = 18.1

@@ -336,3 +336,79 @@ class TestSubstreams:
         c = substream(124, 4, 5).standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestDrawBitIdentity:
+    """The samplers add the LOS term by parts and scale the normals in place.
+    Written out here are the complex expressions they replace; at fixed
+    substreams both give the same bits.  If a NumPy upgrade makes np.cos or
+    np.sin differ from complex exp, this fails at the cause rather than at a
+    golden CSV.  The sizes span several LOS blocks and end in a partial one."""
+
+    @staticmethod
+    def complex_normals(scale, shape, rng):
+        g = rng.standard_normal(shape + (2,))
+        return scale * (g[..., 0] + 1j * g[..., 1])
+
+    @classmethod
+    def static_reference(cls, params, n_antennas, rng, size):
+        if params.omega == 0.0:
+            z = np.zeros(size)
+        else:
+            z = np.sqrt(rng.gamma(shape=params.m, scale=params.omega / params.m, size=size))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=size + (n_antennas,))
+        scatter = cls.complex_normals(np.sqrt(params.beta), size + (n_antennas,), rng)
+        return z[..., None] * np.exp(1j * phases) + scatter
+
+    @classmethod
+    def dynamic_reference(cls, scen, n_antennas, rng, size):
+        radii = scen.radius_km * np.sqrt(rng.random(size))
+        p = los_probability(scen.eta, elevation_angle(radii, scen.altitude_km))
+        states = rng.random(size) < p
+        los, nlos = scen.los_params, scen.nlos_params
+        z_los = np.sqrt(rng.gamma(shape=los.m, scale=los.omega / los.m, size=size))
+        z_nlos = np.sqrt(rng.gamma(shape=nlos.m, scale=nlos.omega / nlos.m, size=size))
+        z = np.where(states, z_los, z_nlos)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=size + (n_antennas,))
+        std = np.where(states, np.sqrt(los.beta), np.sqrt(nlos.beta))
+        scatter = cls.complex_normals(std[..., None], size + (n_antennas,), rng)
+        return z[..., None] * np.exp(1j * phases) + scatter
+
+    @staticmethod
+    def assert_same_bits(actual, expected):
+        assert actual.dtype == expected.dtype == np.complex128
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual.view(float), expected.view(float))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SCENARIOS["FHS"],
+            SCENARIOS["AS"],
+            SCENARIOS["ILS"],
+            ShadowingParams(m=2.0, beta=0.1, omega=0.0),
+            ShadowingParams(m=2.0, beta=0.0, omega=1.0),
+        ],
+        ids=["FHS", "AS", "ILS", "omega0", "beta0"],
+    )
+    @pytest.mark.parametrize("n_antennas,size", [(8, (3000, 12)), (16, (5,)), (3, ())])
+    def test_static_draw(self, params, n_antennas, size):
+        actual = sample_channel_array(params, n_antennas, substream(11, 0), size=size)
+        expected = self.static_reference(params, n_antennas, substream(11, 0), size)
+        self.assert_same_bits(actual, expected)
+
+    @pytest.mark.parametrize("sigma_e2", [0.0, 0.125])
+    def test_estimation_noise(self, sigma_e2):
+        shape = (2000, 6, 8)
+        actual = estimation_noise(shape, sigma_e2, substream(12, 0))
+        if sigma_e2 == 0.0:
+            expected = np.zeros(shape, dtype=complex)
+        else:
+            expected = self.complex_normals(np.sqrt(0.5 * sigma_e2), shape, substream(12, 0))
+        self.assert_same_bits(actual, expected)
+
+    @pytest.mark.parametrize("scen", [DynamicScenario(), DynamicScenario(radius_km=600.0)], ids=["10km", "600km"])
+    def test_dynamic_draw(self, scen):
+        actual = scen.draw(substream(13, 0), 16, (500, 24))
+        expected = self.dynamic_reference(scen, 16, substream(13, 0), (500, 24))
+        self.assert_same_bits(actual, expected)

@@ -44,6 +44,41 @@ class TestConfigFile:
             parse_config_file(path)
 
 
+class TestConfigKeys:
+    """A config file may set only the keys its command reads."""
+
+    @pytest.mark.parametrize(
+        "argv,text,unread",
+        [
+            (["analyze"], "L = 16\ntrials = 1000\n", "trials"),
+            (["figure", "2", "--analytic-only"], "l = 16\nscenario = FHS\nt = 1000\n", "l, scenario"),
+            (["validate", "--trials", "600"], "q_max = 3\n", "q_max"),
+        ],
+        ids=["analyze", "figure", "validate"],
+    )
+    def test_unread_key_rejected(self, capsys, tmp_path, monkeypatch, argv, text, unread):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert f"vccsat {argv[0]} does not read config key(s) {unread}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_simulate_reads_every_key(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "scenario = ILS\nm = 2\nbeta = 0.1\nomega = 1\nL = 4\ng = 2\nq = 2\npt_db = 10\n"
+            "pt_linear = 10\nsigma_e2 = 0\nt = 1000\ntheta = 4\nq_max = 2\nq_max_baseline = 2\n"
+            "trials = 1000\nseed = 5\nworkers = 1\n"
+        )
+        code, _, _ = run(capsys, "simulate", "--gain", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 0
+        resolved = json.loads((tmp_path / "run.json").read_text())["manifest"]["resolved"]
+        assert (resolved["l"], resolved["q_max"], resolved["seed"], resolved["m"]) == (4, 2, 5, 2.0)
+
+
 class TestAnalyze:
     def test_emits_all_quantities(self, capsys):
         code, out, _ = run(
@@ -137,11 +172,14 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "a" / "run.csv").read_bytes() == (tmp_path / "b" / "run.csv").read_bytes()
 
-    def test_validate_exits_zero_on_defaults(self, capsys):
-        code, out, _ = run(capsys, "simulate", "--validate", "--trials", "20000")
-        assert code == 0
-        assert "oracle suite" in out
-        assert "FAIL" not in out
+    def test_validate_mode_removed(self, capsys, tmp_path, monkeypatch):
+        # the oracle suite is `vccsat validate`; simulate has no second path to it
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--validate", "--trials", "600", "--q-max", "3", "--out", "zz"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --validate" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_gain_with_q1_rejected(self, capsys):
         code, _, err = run(capsys, "simulate", "--Q", "1", "--gain", "--trials", "1000")
