@@ -33,18 +33,11 @@ from .experiments import (
     MomentOracleResult,
     RateEstimate,
     SweepRow,
-    mc_effective_gain,
+    mc_gain_table,
     mc_moment_oracle,
     mc_sum_rate,
     mc_transmit_power,
     oracle_suite,
     sweep,
 )
-from .linkphy import (
-    ChannelBlock,
-    SystemConfig,
-    compute_sinr,
-    effective_sum_rate,
-    full_signal_roundtrip,
-    sample_block,
-)
+from .linkphy import SystemConfig

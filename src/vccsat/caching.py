@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
-from typing import Callable, Mapping
+from typing import Mapping
 
 __all__ = [
     "CacheLayout",
@@ -22,10 +21,6 @@ __all__ = [
     "StagePlan",
     "DeliverySchedule",
     "CompletenessReport",
-    "split_file",
-    "subfile_count",
-    "cache_contents",
-    "cached_labels",
     "enumerate_stages",
     "build_schedule",
     "verify_completeness",
@@ -92,33 +87,6 @@ class SubfileLabel:
             raise ValueError(f"index_set has duplicates: {self.index_set}")
 
 
-def subfile_count(layout: CacheLayout) -> int:
-    """Number of subfiles per file, C(n_states, t), without materialising them."""
-    return comb(layout.n_states, layout.t)
-
-
-def split_file(layout: CacheLayout, file_index: int) -> list[SubfileLabel]:
-    """All subfile labels of one file in lexicographic order."""
-    if not 1 <= file_index <= layout.n_files:
-        raise ValueError(f"file_index {file_index} out of range [1, {layout.n_files}]")
-    states = range(1, layout.n_states + 1)
-    return [SubfileLabel(file_index, tset) for tset in combinations(states, layout.t)]
-
-
-def cache_contents(layout: CacheLayout, state: int) -> Callable[[SubfileLabel], bool]:
-    """Predicate selecting the subfiles cached by the given state: label
-    index sets containing the state (C(n_states-1, t-1) of them per file)."""
-    if not 1 <= state <= layout.n_states:
-        raise ValueError(f"cache state {state} out of range [1, {layout.n_states}]")
-    return lambda label: state in label.index_set
-
-
-def cached_labels(layout: CacheLayout, state: int, file_index: int) -> list[SubfileLabel]:
-    """The subfiles of one file stored by one cache state."""
-    pred = cache_contents(layout, state)
-    return [label for label in split_file(layout, file_index) if pred(label)]
-
-
 def enumerate_stages(layout: CacheLayout) -> list[tuple[int, ...]]:
     """All C(n_states, t+1) stage state-subsets in lexicographic order."""
     return list(combinations(range(1, layout.n_states + 1), layout.caching_gain))
@@ -147,10 +115,6 @@ class DeliverySchedule:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
-
-    @property
-    def users_per_round(self) -> int:
-        return self.g * self.q
 
 
 def _check_demands(layout: CacheLayout, demands: Mapping[int, int]) -> None:

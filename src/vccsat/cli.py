@@ -282,9 +282,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     columns = list(row)
     results: dict = {"rate": row}
     if args.gain:
-        res = experiments.mc_effective_gain(
-            config, values["q_max"], values["q_max_baseline"], trials, seed, workers
-        )
+        res = experiments.mc_gain_table(
+            config, [config.p_t], values["q_max"], values["q_max_baseline"], trials, seed, workers
+        )[0]
         cf_gain = analysis.effective_gain_closed_form(config, values["q_max"], values["q_max_baseline"])
         row.update(
             {
@@ -461,7 +461,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     )
     if args.demands:
         raw = json.loads(Path(args.demands).read_text())
-        demands = {int(u): int(f) for u, f in raw.items()}
+        if not isinstance(raw, dict) or any(type(f) is not int for f in raw.values()):
+            raise ValueError(f"{args.demands}: expected a JSON object mapping user id to an integer file index")
+        demands = {int(u): f for u, f in raw.items()}
     else:
         demands = {u: u for u in range(1, layout.n_users + 1)}
 

@@ -80,8 +80,10 @@ def _batches(trials: int) -> list[tuple[int, int]]:
 def _run_batches(worker: Callable[[int, int], np.ndarray], trials: int, workers: int) -> np.ndarray:
     """Evaluate batches (possibly concurrently) and reduce partial sums in
     fixed batch order."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     batches = _batches(trials)
-    if workers <= 1:
+    if workers == 1:
         parts = [worker(j, n) for j, n in batches]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -174,12 +176,7 @@ def mc_sum_rate(
 ) -> RateEstimate:
     """Monte Carlo mean of the effective sum rate at the given operating
     point, using the statistical power factor of the closed-form analysis."""
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    means, ses = _rate_table_raw(
-        config, [config.q_mux], [config.p_t], trials, seed, workers, _STREAM_RATE
-    )
-    return RateEstimate(mean=float(means[0, 0]), std_error=float(ses[0, 0]), trials=trials, config=config)
+    return mc_rate_table(config, [config.q_mux], [config.p_t], trials, seed, workers)[0][0]
 
 
 def mc_rate_table(
@@ -251,18 +248,6 @@ def mc_gain_table(
             )
         )
     return results
-
-
-def mc_effective_gain(
-    config: SystemConfig,
-    q_max: int = 8,
-    q_max_baseline: int = 8,
-    trials: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> analysis.GainResult:
-    """Monte Carlo effective gain at the config's own transmit power."""
-    return mc_gain_table(config, [config.p_t], q_max, q_max_baseline, trials, seed, workers)[0]
 
 
 def mc_moment_oracle(

@@ -1,11 +1,12 @@
-"""Matched-filter precoding and per-block SINR / effective-rate evaluation.
+"""Operating point of one link-level evaluation and the post-cancellation
+SINR of matched-filter precoding.
 
 One coherence block serves g_groups * q_mux users at once.  The transmit
 vector superimposes one matched-filter-precoded signal per group; receivers
 cancel the other groups' contributions using cached content plus composite
-CSI, leaving the intra-group interference channel whose SINR is evaluated
-here.  The power factor alpha^2 is the statistical normalisation from
-`analysis.alpha2_closed_form`, never a per-realisation rescaling.
+CSI, leaving the intra-group interference channel.  The power factor alpha^2
+is the statistical normalisation from `analysis.alpha2_closed_form`, never a
+per-realisation rescaling.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DynamicScenario, ShadowingParams, estimation_noise
+from .channel import DynamicScenario, ShadowingParams
 
 MAX_Q = 10  # spot-beam spatial resolution caps the multiplexed users per group
 
@@ -69,35 +70,14 @@ class SystemConfig:
         return 1.0 - self.g_groups * self.q_mux * self.theta_pilot / self.t_coherence
 
 
-@dataclass(frozen=True)
-class ChannelBlock:
-    """True and estimated channels of all served users for one block,
-    shaped (g_groups, q_mux, l_antennas)."""
-
-    true_h: np.ndarray
-    est_h: np.ndarray
-
-    def __post_init__(self):
-        if self.true_h.shape != self.est_h.shape or self.true_h.ndim != 3:
-            raise ValueError(
-                f"true_h and est_h must share shape (G, Q, L); got {self.true_h.shape} and {self.est_h.shape}"
-            )
-
-
-def sample_block(config: SystemConfig, rng) -> ChannelBlock:
-    """Draw one block of true channels plus their CSIT estimates."""
-    shape = (config.g_groups, config.q_mux)
-    h = config.shadowing.draw(rng, config.l_antennas, shape)
-    h_hat = h + estimation_noise(h.shape, config.sigma_e2, rng)
-    return ChannelBlock(true_h=h, est_h=h_hat)
-
-
 def sinr_batch(true_h: np.ndarray, est_h: np.ndarray, alpha2: float) -> np.ndarray:
     """Post-cancellation SINR per user for arrays shaped (..., G, Q, L).
 
     For user (g, b): alpha^2 |h_gb^T hhat_gb^*|^2 over 1 + alpha^2 times the
     intra-group sum over the other q_mux - 1 users of the same group; the
     inter-group terms are absent by cache-aided cancellation.  Noise power 1.
+    The Monte Carlo engine evaluates the same expression inside its (q, P_t)
+    loop; this form is the one the per-block test reference uses.
     """
     if not alpha2 > 0:
         raise ValueError(f"alpha2 must be > 0, got {alpha2}")
@@ -106,74 +86,3 @@ def sinr_batch(true_h: np.ndarray, est_h: np.ndarray, alpha2: float) -> np.ndarr
     signal = np.diagonal(power, axis1=-2, axis2=-1)
     interference = power.sum(axis=-1) - signal
     return alpha2 * signal / (1.0 + alpha2 * interference)
-
-
-def compute_sinr(block: ChannelBlock, config: SystemConfig, alpha2: float) -> np.ndarray:
-    """SINR of each served user in one block, shaped (G, Q)."""
-    if block.true_h.shape != (config.g_groups, config.q_mux, config.l_antennas):
-        raise ValueError(
-            f"block shape {block.true_h.shape} does not match config "
-            f"({config.g_groups}, {config.q_mux}, {config.l_antennas})"
-        )
-    return sinr_batch(block.true_h, block.est_h, alpha2)
-
-
-def effective_sum_rate(sinr_values: np.ndarray, config: SystemConfig) -> float:
-    """Effective sum rate xi * sum log2(1 + SINR) over all G*Q users, in
-    bits/s/Hz."""
-    sinr = np.asarray(sinr_values)
-    if sinr.size != config.n_users:
-        raise ValueError(f"expected {config.n_users} SINR values, got {sinr.size}")
-    return config.xi * float(np.log2(1.0 + sinr).sum())
-
-
-def transmit_vector(block: ChannelBlock, alpha2: float, symbols: np.ndarray) -> np.ndarray:
-    """Superimposed transmit signal x = alpha * sum_g Hhat_g^H s_g, shape (L,)."""
-    alpha = np.sqrt(alpha2)
-    return alpha * np.einsum("gql,gq->l", block.est_h.conj(), symbols)
-
-
-def inter_group_component(block: ChannelBlock, alpha2: float, symbols: np.ndarray) -> np.ndarray:
-    """The inter-group term each receiver regenerates from cached symbols and
-    composite CSI: alpha * h_gb^T sum_{f != g} Hhat_f^H s_f, shape (G, Q)."""
-    alpha = np.sqrt(alpha2)
-    # contrib[g, b, f] = h_gb^T Hhat_f^H s_f
-    contrib = np.einsum("gbl,fcl,fc->gbf", block.true_h, block.est_h.conj(), symbols)
-    total = contrib.sum(axis=2)
-    own = np.einsum("gbg->gb", contrib)
-    return alpha * (total - own)
-
-
-def full_signal_roundtrip(
-    block: ChannelBlock,
-    config: SystemConfig,
-    alpha2: float,
-    symbols: np.ndarray,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Build x, push it through every user's channel, subtract the regenerated
-    inter-group term, and return the post-cancellation signals (G, Q).
-
-    With g_groups = 1 the cancellation is a no-op and y' = y.
-    """
-    symbols = np.asarray(symbols)
-    noise = np.asarray(noise)
-    shape = (config.g_groups, config.q_mux)
-    if symbols.shape != shape or noise.shape != shape:
-        raise ValueError(f"symbols and noise must have shape {shape}")
-    x = transmit_vector(block, alpha2, symbols)
-    y = np.einsum("gbl,l->gb", block.true_h, x) + noise
-    if config.g_groups == 1:
-        return y
-    return y - inter_group_component(block, alpha2, symbols)
-
-
-def intra_group_reference(
-    block: ChannelBlock, alpha2: float, symbols: np.ndarray, noise: np.ndarray
-) -> np.ndarray:
-    """Desired-plus-intra-group signal computed term by term, the algebraic
-    reference that `full_signal_roundtrip` must reproduce to rounding error."""
-    alpha = np.sqrt(alpha2)
-    # own-group composite coefficients h_gb^T hhat_gc^*
-    coeff = np.einsum("gbl,gcl->gbc", block.true_h, block.est_h.conj())
-    return alpha * np.einsum("gbc,gc->gb", coeff, symbols) + noise

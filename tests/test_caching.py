@@ -8,12 +8,8 @@ from vccsat.caching import (
     DeliverySchedule,
     SubfileLabel,
     build_schedule,
-    cache_contents,
-    cached_labels,
     enumerate_stages,
     schedule_to_dict,
-    split_file,
-    subfile_count,
     verify_completeness,
 )
 
@@ -43,51 +39,13 @@ class TestCacheLayout:
             layout.group_of(7)
 
 
-class TestSplitFile:
-    def test_singleton_labels(self):
-        layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
-        labels = split_file(layout, 1)
-        assert [l.index_set for l in labels] == [(1,), (2,), (3,)]
-
-    def test_count_five_choose_two(self):
-        layout = CacheLayout(n_states=5, t=2, n_files=5, users_per_group=1)
-        labels = split_file(layout, 2)
-        assert len(labels) == 10
-        assert len(set(labels)) == 10
-
-    def test_lazy_count_for_large_layout(self):
-        layout = CacheLayout(n_states=50, t=5, n_files=1, users_per_group=1)
-        assert subfile_count(layout) == 2_118_760
-
-    def test_file_index_range_checked(self):
-        layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
-        with pytest.raises(ValueError):
-            split_file(layout, 4)
-
-
 class TestCacheContents:
-    def test_singleton_state_caches_its_own_label(self):
-        layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
-        pred = cache_contents(layout, 2)
-        kept = [l for l in split_file(layout, 1) if pred(l)]
-        assert [l.index_set for l in kept] == [(2,)]
-
-    def test_cached_count_matches_budget(self):
-        layout = CacheLayout(n_states=5, t=2, n_files=5, users_per_group=1)
-        kept = cached_labels(layout, 1, 1)
-        assert len(kept) == 4  # C(4, 1)
-        assert len(kept) / subfile_count(layout) == pytest.approx(layout.cache_fraction)
-
     @pytest.mark.parametrize("n_states", range(2, 9))
     def test_budget_exact_for_all_layouts(self, n_states):
-        # C(n-1, t-1) / C(n, t) == t / n, exactly in integers
+        # a state caches the C(n-1, t-1) of C(n, t) labels that contain it,
+        # a share of exactly t / n, the layout's cache_fraction
         for t in range(1, n_states):
             assert comb(n_states - 1, t - 1) * n_states == comb(n_states, t) * t
-
-    def test_state_range_checked(self):
-        layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
-        with pytest.raises(ValueError):
-            cache_contents(layout, 0)
 
 
 class TestEnumerateStages:
@@ -123,7 +81,7 @@ class TestBuildSchedule:
         schedule = build_schedule(layout, 2, distinct_demands(layout))
         assert schedule.n_stages == 10
         assert all(len(s.rounds) == 1 for s in schedule.stages)
-        assert schedule.users_per_round == 6
+        assert all(len(r) == 6 for s in schedule.stages for r in s.rounds)  # G * q users
 
     def test_round_user_order_is_ascending(self):
         layout = CacheLayout(n_states=2, t=1, n_files=4, users_per_group=2)

@@ -186,6 +186,15 @@ class TestSimulate:
         assert code == 2
         assert "Q must be >= 2" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, tmp_path, workers):
+        code, _, err = run(
+            capsys, "simulate", "--trials", "200", "--workers", workers, "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert f"workers must be >= 1, got {workers}" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestFigure:
     def test_unknown_id_rejected(self, capsys, tmp_path):
@@ -299,6 +308,25 @@ class TestSchedule:
         data = json.loads(out.read_text())
         files = {e["file"] for s in data["schedule"]["stages"] for r in s["rounds"] for e in r}
         assert files == set(range(11, 17))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2, 3]", '{"1": 1.7, "2": 2, "3": 3}', '{"1": true, "2": 2, "3": 3}'],
+        ids=["list", "float", "bool"],
+    )
+    def test_malformed_demands_rejected(self, capsys, tmp_path, text):
+        demands_path = tmp_path / "demands.json"
+        demands_path.write_text(text)
+        out = tmp_path / "sched.json"
+        code, _, err = run(
+            capsys,
+            "schedule",
+            "--states", "3", "--t", "1", "--users-per-group", "1", "--q", "1",
+            "--demands", str(demands_path), "--out", str(out),
+        )
+        assert code == 2
+        assert "expected a JSON object mapping user id to an integer file index" in err
+        assert not out.exists()
 
 
 class TestValidateCommand:

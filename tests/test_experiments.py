@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import effective_sum_rate, sample_block
 from vccsat.analysis import (
     alpha2_closed_form,
     avg_sum_rate_closed_form,
@@ -12,7 +13,7 @@ from vccsat.analysis import (
 from vccsat.channel import SCENARIOS, DynamicScenario, substream
 from vccsat.experiments import (
     BATCH_TRIALS,
-    mc_effective_gain,
+    mc_gain_table,
     mc_moment_oracle,
     mc_rate_table,
     mc_sum_rate,
@@ -20,7 +21,7 @@ from vccsat.experiments import (
     oracle_suite,
     sweep,
 )
-from vccsat.linkphy import SystemConfig, compute_sinr, effective_sum_rate, sample_block
+from vccsat.linkphy import SystemConfig, sinr_batch
 
 
 def make_config(**kwargs):
@@ -56,8 +57,8 @@ class TestDeterminism:
 
     def test_gain_deterministic_across_workers(self):
         config = make_config()
-        a = mc_effective_gain(config, trials=2000, seed=3, workers=1)
-        b = mc_effective_gain(config, trials=2000, seed=3, workers=3)
+        a = mc_gain_table(config, [config.p_t], trials=2000, seed=3, workers=1)[0]
+        b = mc_gain_table(config, [config.p_t], trials=2000, seed=3, workers=3)[0]
         assert a == b
 
 
@@ -90,14 +91,14 @@ class TestEstimatorBehaviour:
     def test_rate_agrees_with_per_block_path_where_closed_form_is_loosest(self):
         # ILS, G=1, Q=2, 21 dB: the cell where the log-of-means closed form
         # is furthest from Monte Carlo.  The batched engine and the per-block
-        # linkphy path (sample_block -> compute_sinr -> effective_sum_rate)
+        # reference path (sample_block -> sinr_batch -> effective_sum_rate)
         # agree, so the gap belongs to the approximation, not the engine.
         config = make_config(shadowing=SCENARIOS["ILS"], g_groups=1, q_mux=2, p_t=10**2.1)
         engine = mc_sum_rate(config, trials=20_000, seed=0)
         alpha2 = alpha2_closed_form(config)
         rng = substream(0, 97)
         rates = np.array([
-            effective_sum_rate(compute_sinr(sample_block(config, rng), config, alpha2), config)
+            effective_sum_rate(sinr_batch(*sample_block(config, rng), alpha2), config)
             for _ in range(20_000)
         ])
         block_mean = rates.mean()
@@ -152,12 +153,12 @@ class TestGainEstimation:
         # both sides of the ratio estimate the same G=1 rate, on
         # independent substreams, so the ratio is 1 up to Monte Carlo error
         config = make_config(g_groups=1, q_mux=2)
-        res = mc_effective_gain(config, q_max=4, q_max_baseline=4, trials=40_000, seed=4)
+        res = mc_gain_table(config, [config.p_t], q_max=4, q_max_baseline=4, trials=40_000, seed=4)[0]
         assert abs(res.gain - 1.0) <= 4 * res.gain_stderr
 
     def test_fhs_gain_near_three_at_15_db(self):
         config = make_config(shadowing=SCENARIOS["FHS"], p_t=10**1.5)
-        res = mc_effective_gain(config, q_max=8, q_max_baseline=8, trials=20_000, seed=4)
+        res = mc_gain_table(config, [config.p_t], q_max=8, q_max_baseline=8, trials=20_000, seed=4)[0]
         assert res.gain == pytest.approx(3.0, abs=0.3)
 
     def test_rate_table_matches_scalar_estimates(self):
@@ -183,8 +184,8 @@ class TestDynamicGain:
         # mixture is almost surely the LOS (ILS) branch
         config = make_config(l_antennas=4, q_mux=2, shadowing=SCENARIOS["ILS"])
         dyn_config = replace(config, shadowing=DynamicScenario(radius_km=1e-6))
-        dyn = mc_effective_gain(dyn_config, q_max=4, q_max_baseline=4, trials=20_000, seed=11)
-        static = mc_effective_gain(config, q_max=4, q_max_baseline=4, trials=20_000, seed=11)
+        dyn = mc_gain_table(dyn_config, [dyn_config.p_t], q_max=4, q_max_baseline=4, trials=20_000, seed=11)[0]
+        static = mc_gain_table(config, [config.p_t], q_max=4, q_max_baseline=4, trials=20_000, seed=11)[0]
         tol = 4 * np.hypot(dyn.gain_stderr, static.gain_stderr)
         assert abs(dyn.gain - static.gain) <= tol
 
@@ -208,7 +209,7 @@ class TestSweep:
         rows = sweep(config, [3.0, 12.0], q_max=4, q_max_baseline=4, trials=4000, seed=13)
         for row in rows:
             cfg = replace(config, p_t=10 ** (row.pt_db / 10))
-            direct = mc_effective_gain(cfg, q_max=4, q_max_baseline=4, trials=4000, seed=13)
+            direct = mc_gain_table(cfg, [cfg.p_t], q_max=4, q_max_baseline=4, trials=4000, seed=13)[0]
             assert row.mc.gain == direct.gain
 
     def test_empty_grid_rejected(self):

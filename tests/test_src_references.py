@@ -1,0 +1,39 @@
+"""Code that only tests reach belongs in tests/, not in the package: every
+public top-level name of src/vccsat must be used somewhere in src/vccsat
+outside the re-exports of __init__.py."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vccsat"
+
+# module.name -> why it stays in src/ with no caller there
+ALLOWED = {"linkphy.sinr_batch": "wrapped by perfbench/tracer.py"}
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def test_every_public_name_is_used_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+    defined = {f"{module}.{name}": name for module, tree in trees.items() for name in _defined(tree)}
+    assert set(ALLOWED) <= set(defined)
+    unused = sorted(key for key, name in defined.items() if not used[name] and key not in ALLOWED)
+    assert not unused, f"public names no code in src/vccsat uses: {unused}"
