@@ -10,6 +10,7 @@ unit-power symbol per round.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping
@@ -74,7 +75,7 @@ class CacheLayout:
         return range(start, start + self.users_per_group)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubfileLabel:
     """Subfile of file `file_index` labelled by the sorted state set `index_set`."""
 
@@ -82,9 +83,11 @@ class SubfileLabel:
     index_set: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "index_set", tuple(sorted(self.index_set)))
-        if len(set(self.index_set)) != len(self.index_set):
-            raise ValueError(f"index_set has duplicates: {self.index_set}")
+        index_set = tuple(sorted(self.index_set))
+        if index_set != self.index_set:
+            object.__setattr__(self, "index_set", index_set)
+        if len(set(index_set)) != len(index_set):
+            raise ValueError(f"index_set has duplicates: {index_set}")
 
 
 def enumerate_stages(layout: CacheLayout) -> list[tuple[int, ...]]:
@@ -92,7 +95,7 @@ def enumerate_stages(layout: CacheLayout) -> list[tuple[int, ...]]:
     return list(combinations(range(1, layout.n_states + 1), layout.caching_gain))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     group: int
     slot: int
@@ -151,12 +154,15 @@ def build_schedule(layout: CacheLayout, q: int, demands: Mapping[int, int]) -> D
     n_rounds = layout.users_per_group // q
     stages = []
     for stage_set in enumerate_stages(layout):
+        # each selected group's label set and members serve every round
+        served = [
+            (group, tuple(s for s in stage_set if s != group), layout.group_members(group))
+            for group in stage_set
+        ]
         rounds = []
         for r in range(n_rounds):
             assignments = []
-            for group in stage_set:
-                label_set = tuple(s for s in stage_set if s != group)
-                members = layout.group_members(group)
+            for group, label_set, members in served:
                 for slot in range(1, q + 1):
                     user = members[r * q + slot - 1]
                     assignments.append(
@@ -192,11 +198,21 @@ class CompletenessReport:
         )
 
 
+def _add_labels(target: dict[int, list[SubfileLabel]], user: int, pairs) -> None:
+    """Record the (file_index, index_set) pairs, if any, as sorted labels."""
+    labels = [SubfileLabel(f, s) for f, s in sorted(pairs)]
+    if labels:
+        target[user] = labels
+
+
 def verify_completeness(
     schedule: DeliverySchedule, layout: CacheLayout, demands: Mapping[int, int]
 ) -> CompletenessReport:
     """Check that for every user the delivered labels are exactly the labels
-    of its demanded file that its cache state lacks, each delivered once."""
+    of its demanded file that its cache state lacks, each delivered once.
+
+    Labels are compared as plain (file_index, index_set) values; only the
+    ones the report names are built as SubfileLabels."""
     _check_demands(layout, demands)
     delivered: dict[int, list[SubfileLabel]] = {u: [] for u in range(1, layout.n_users + 1)}
     for stage in schedule.stages:
@@ -204,26 +220,25 @@ def verify_completeness(
             for a in round_assignments:
                 delivered[a.user].append(a.subfile)
 
-    report = CompletenessReport(complete=True)
     all_sets = list(combinations(range(1, layout.n_states + 1), layout.t))
-    for user, items in delivered.items():
-        group = layout.group_of(user)
-        needed = {
-            SubfileLabel(demands[user], tset) for tset in all_sets if group not in tset
-        }
-        counts: dict[SubfileLabel, int] = {}
-        for label in items:
-            counts[label] = counts.get(label, 0) + 1
-        missing = sorted(needed - set(counts), key=lambda s: (s.file_index, s.index_set))
-        dup = sorted((l for l, c in counts.items() if c > 1), key=lambda s: (s.file_index, s.index_set))
-        unexpected = sorted((l for l in counts if l not in needed), key=lambda s: (s.file_index, s.index_set))
-        if missing:
-            report.missing[user] = missing
-        if dup:
-            report.duplicated[user] = dup
-        if unexpected:
-            report.unexpected[user] = unexpected
-        report.delivered_per_user[user] = len(items)
+    # the label sets each group's cache lacks, shared by its users
+    lacking = {
+        g: frozenset(tset for tset in all_sets if g not in tset) for g in range(1, layout.n_states + 1)
+    }
+    report = CompletenessReport(complete=True)
+    for user, labels in delivered.items():
+        file_index = demands[user]
+        needed = lacking[layout.group_of(user)]
+        got = {l.index_set for l in labels if l.file_index == file_index}
+        _add_labels(report.missing, user, ((file_index, s) for s in needed - got))
+        unexpected = [(file_index, s) for s in got - needed]
+        if len(got) < len(labels):
+            # a label delivered twice, or one of another file
+            counts = Counter((l.file_index, l.index_set) for l in labels)
+            _add_labels(report.duplicated, user, (key for key, c in counts.items() if c > 1))
+            unexpected += [key for key in counts if key[0] != file_index]
+        _add_labels(report.unexpected, user, unexpected)
+        report.delivered_per_user[user] = len(labels)
     report.complete = not (report.missing or report.duplicated or report.unexpected)
     return report
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -120,6 +121,13 @@ def _resolved(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    # checked here, before any work, for every command that takes them
+    # (figure --analytic-only runs no batch but records both in its manifest)
+    if "trials" in vars(args):
+        if values["trials"] < 100:
+            raise ValueError(f"trials must be >= 100, got {values['trials']}")
+        if values["workers"] < 1:
+            raise ValueError(f"workers must be >= 1, got {values['workers']}")
     # a power flag overrides the other unit; an explicit linear value beats
     # the dB default
     if getattr(args, "pt_db", None) is not None:
@@ -452,6 +460,27 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # schedule
 # ---------------------------------------------------------------------------
 
+def _read_demands(path: str) -> dict[int, int]:
+    """A JSON object mapping plain decimal user ids to integer file indices.
+
+    A key such as "01" or " 1" would name the same user as "1", and a repeated
+    key would overwrite the first; either way a demand would vanish unseen."""
+
+    def unique_keys(pairs: list) -> dict:
+        repeated = [k for k, c in Counter(k for k, _ in pairs).items() if c > 1]
+        if repeated:
+            raise ValueError(f"{path}: user id(s) {', '.join(map(repr, repeated))} given more than once")
+        return dict(pairs)
+
+    raw = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+    if not isinstance(raw, dict) or any(type(f) is not int for f in raw.values()):
+        raise ValueError(f"{path}: expected a JSON object mapping user id to an integer file index")
+    for key in raw:
+        if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+            raise ValueError(f"{path}: user id {key!r} is not a plain decimal integer")
+    return {int(u): f for u, f in raw.items()}
+
+
 def cmd_schedule(args: argparse.Namespace) -> int:
     layout = CacheLayout(
         n_states=args.states,
@@ -460,10 +489,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         users_per_group=args.users_per_group,
     )
     if args.demands:
-        raw = json.loads(Path(args.demands).read_text())
-        if not isinstance(raw, dict) or any(type(f) is not int for f in raw.values()):
-            raise ValueError(f"{args.demands}: expected a JSON object mapping user id to an integer file index")
-        demands = {int(u): f for u, f in raw.items()}
+        demands = _read_demands(args.demands)
     else:
         demands = {u: u for u in range(1, layout.n_users + 1)}
 
@@ -500,7 +526,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             "duplicated": {str(u): [[l.file_index, list(l.index_set)] for l in ls] for u, ls in report.duplicated.items()},
         },
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    # one line through the C encoder: indent=2 makes json use its pure-Python
+    # encoder, which took most of the command's time on large layouts
+    Path(args.out).write_text(json.dumps(payload, default=str) + "\n")
     print(f"wrote {args.out}: {report.summary()}")
     return 0 if report.complete else 1
 

@@ -1,11 +1,16 @@
 import json
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vccsat.caching import (
+    Assignment,
     CacheLayout,
     DeliverySchedule,
+    StagePlan,
     SubfileLabel,
     build_schedule,
     enumerate_stages,
@@ -16,6 +21,30 @@ from vccsat.caching import (
 
 def distinct_demands(layout):
     return {u: u for u in range(1, layout.n_users + 1)}
+
+
+def label_audit(schedule, layout, demands):
+    """The delivery audit written label by label: the reference that
+    verify_completeness is checked against.  Returns the missing, duplicated
+    and unexpected labels per user and the deliveries per user."""
+    delivered = {u: [] for u in range(1, layout.n_users + 1)}
+    for stage in schedule.stages:
+        for round_assignments in stage.rounds:
+            for a in round_assignments:
+                delivered[a.user].append(a.subfile)
+    all_sets = list(combinations(range(1, layout.n_states + 1), layout.t))
+    missing, duplicated, unexpected = {}, {}, {}
+    for user, labels in delivered.items():
+        group = layout.group_of(user)
+        needed = {SubfileLabel(demands[user], tset) for tset in all_sets if group not in tset}
+        for target, found in (
+            (missing, needed - set(labels)),
+            (duplicated, {l for l in labels if labels.count(l) > 1}),
+            (unexpected, set(labels) - needed),
+        ):
+            if found:
+                target[user] = sorted(found, key=lambda l: (l.file_index, l.index_set))
+    return missing, duplicated, unexpected, {u: len(labels) for u, labels in delivered.items()}
 
 
 class TestCacheLayout:
@@ -111,6 +140,21 @@ class TestBuildSchedule:
             build_schedule(layout, 1, {1: 1, 2: 2})
 
 
+class TestSubfileLabel:
+    def test_index_set_is_sorted(self):
+        assert SubfileLabel(4, (3, 1, 2)).index_set == (1, 2, 3)
+        assert SubfileLabel(4, [3, 1]) == SubfileLabel(4, (1, 3))
+
+    def test_duplicate_states_rejected(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            SubfileLabel(1, (2, 2))
+
+    def test_not_equal_to_a_plain_tuple(self):
+        label = SubfileLabel(1, (2, 3))
+        assert label != (1, (2, 3))
+        assert len({label, (1, (2, 3))}) == 2
+
+
 class TestVerifyCompleteness:
     def test_valid_schedule_is_complete(self):
         layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
@@ -144,7 +188,75 @@ class TestVerifyCompleteness:
         )
         report = verify_completeness(doubled, layout, demands)
         assert not report.complete
-        assert set(report.duplicated) == {1, 2}
+        # the repeated stage (1, 2) serves user 1 label {2} and user 2 label {1}
+        assert report.duplicated == {1: [SubfileLabel(1, (2,))], 2: [SubfileLabel(2, (1,))]}
+        assert not report.missing and not report.unexpected
+        assert report.delivered_per_user == {1: 3, 2: 3, 3: 2}
+
+    def test_unexpected_delivery_is_reported(self):
+        layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
+        demands = distinct_demands(layout)
+        schedule = build_schedule(layout, 1, demands)
+        # user 1 (group 1) already caches label {1} of its file, and file 3
+        # is user 3's demand
+        extra = StagePlan(
+            groups=(1,),
+            rounds=(
+                (
+                    Assignment(group=1, slot=1, user=1, subfile=SubfileLabel(3, (2,))),
+                    Assignment(group=1, slot=1, user=1, subfile=SubfileLabel(1, (1,))),
+                    Assignment(group=1, slot=1, user=1, subfile=SubfileLabel(3, (2,))),
+                ),
+            ),
+        )
+        padded = DeliverySchedule(g=schedule.g, q=schedule.q, stages=schedule.stages + (extra,))
+        report = verify_completeness(padded, layout, demands)
+        assert not report.complete
+        assert report.unexpected == {1: [SubfileLabel(1, (1,)), SubfileLabel(3, (2,))]}
+        assert report.duplicated == {1: [SubfileLabel(3, (2,))]}
+        assert not report.missing
+        assert report.delivered_per_user == {1: 5, 2: 2, 3: 2}
+        assert report.summary() == "incomplete: 0 missing, 1 duplicated, 2 unexpected deliveries"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_label_by_label_reference(self, data):
+        n_states = data.draw(st.integers(2, 5), label="n_states")
+        t = data.draw(st.integers(1, n_states - 1), label="t")
+        q = data.draw(st.sampled_from([1, 2]), label="q")
+        users_per_group = q * data.draw(st.sampled_from([1, 2]), label="rounds")
+        n_files = n_states * users_per_group + 2
+        layout = CacheLayout(n_states=n_states, t=t, n_files=n_files, users_per_group=users_per_group)
+        files = data.draw(st.permutations(range(1, n_files + 1)), label="files")
+        demands = {u: files[u - 1] for u in range(1, layout.n_users + 1)}
+        schedule = build_schedule(layout, q, demands)
+        assignments = [a for stage in schedule.stages for rnd in stage.rounds for a in rnd]
+        # drop, repeat, or deliver another file, label set or user
+        for kind in data.draw(st.lists(st.integers(0, 4), max_size=4), label="edits"):
+            i = data.draw(st.integers(0, len(assignments) - 1))
+            a = assignments[i]
+            if kind == 0:
+                del assignments[i]
+            elif kind == 1:
+                assignments.append(a)
+            elif kind == 2:
+                f = data.draw(st.integers(1, n_files))
+                assignments[i] = Assignment(a.group, a.slot, a.user, SubfileLabel(f, a.subfile.index_set))
+            elif kind == 3:
+                states = data.draw(st.sets(st.integers(1, n_states), min_size=1))
+                assignments[i] = Assignment(a.group, a.slot, a.user, SubfileLabel(a.subfile.file_index, states))
+            else:
+                user = data.draw(st.integers(1, layout.n_users))
+                assignments[i] = Assignment(a.group, a.slot, user, a.subfile)
+            if not assignments:
+                break
+        edited = DeliverySchedule(
+            g=schedule.g, q=schedule.q, stages=(StagePlan(groups=(1,), rounds=(tuple(assignments),)),)
+        )
+        report = verify_completeness(edited, layout, demands)
+        expected = label_audit(edited, layout, demands)
+        assert (report.missing, report.duplicated, report.unexpected, report.delivered_per_user) == expected
+        assert report.complete == (expected[:3] == ({}, {}, {}))
 
     def test_eight_state_delivery_count(self):
         layout = CacheLayout(n_states=8, t=3, n_files=16, users_per_group=2)

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vccsat.analysis import alpha2_closed_form, avg_sum_rate_closed_form
+from vccsat.caching import CacheLayout, build_schedule, schedule_to_dict
 from vccsat.channel import SCENARIOS
 from vccsat.cli import FIGURE_SCHEMA, main, parse_config_file
 from vccsat.linkphy import SystemConfig
@@ -196,6 +198,46 @@ class TestSimulate:
         assert not list(tmp_path.iterdir())
 
 
+class TestMonteCarloFlags:
+    """Every command that registers --trials and --workers rejects bad values
+    before it does any work or writes any file."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["figure", "2", "--analytic-only", "--outdir", "figs"],
+            ["figure", "6", "--outdir", "figs"],
+            ["simulate", "--out", "run"],
+            ["validate"],
+        ],
+        ids=["figure-analytic", "figure", "simulate", "validate"],
+    )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--workers", "-3"], "workers must be >= 1, got -3"),
+            (["--trials", "5"], "trials must be >= 100, got 5"),
+        ],
+        ids=["workers0", "workers-3", "trials5"],
+    )
+    def test_rejected_before_any_output(self, capsys, tmp_path, monkeypatch, command, flags, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *command, *flags)
+        assert code == 2
+        assert f"error: {message}" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_values_checked(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("workers = 0\n")
+        code, _, err = run(capsys, "figure", "2", "--analytic-only", "--config", "run.cfg", "--outdir", "figs")
+        assert code == 2
+        assert "workers must be >= 1, got 0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 class TestFigure:
     def test_unknown_id_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "figure", "7", "--outdir", str(tmp_path))
@@ -327,6 +369,68 @@ class TestSchedule:
         assert code == 2
         assert "expected a JSON object mapping user id to an integer file index" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"1": 2, "01": 1, "2": 3}', "user id '01' is not a plain decimal integer"),
+            ('{" 1": 2, "2": 3}', "user id ' 1' is not a plain decimal integer"),
+            ('{"1": 2, "+2": 3}', "user id '+2' is not a plain decimal integer"),
+            ('{"1": 2, "1": 1, "2": 3}', "user id(s) '1' given more than once"),
+        ],
+        ids=["leading-zero", "space", "plus", "repeated"],
+    )
+    def test_non_canonical_user_ids_rejected(self, capsys, tmp_path, text, message):
+        # "01", " 1" and a repeated "1" all name user 1, so one of its
+        # demands would be dropped without a word
+        demands_path = tmp_path / "demands.json"
+        demands_path.write_text(text)
+        out = tmp_path / "sched.json"
+        code, _, err = run(
+            capsys,
+            "schedule",
+            "--states", "2", "--t", "1", "--users-per-group", "1", "--q", "1",
+            "--files", "3", "--demands", str(demands_path), "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "states, t, users_per_group, q, demands",
+        [
+            (3, 1, 1, 1, None),
+            (5, 2, 2, 2, {u: 3 * u for u in range(1, 11)}),
+            (12, 5, 8, 4, None),
+        ],
+        ids=["3-1-1-1", "5-2-2-2-demands", "12-5-8-4"],
+    )
+    def test_export_is_one_line_of_the_schedule(self, capsys, tmp_path, states, t, users_per_group, q, demands):
+        layout = CacheLayout(
+            n_states=states,
+            t=t,
+            n_files=30 if demands else states * users_per_group,
+            users_per_group=users_per_group,
+        )
+        out = tmp_path / "sched.json"
+        argv = [
+            "schedule",
+            "--states", str(states), "--t", str(t), "--users-per-group", str(users_per_group), "--q", str(q),
+            "--files", str(layout.n_files), "--out", str(out),
+        ]
+        if demands:
+            demands_path = tmp_path / "demands.json"
+            demands_path.write_text(json.dumps({str(u): f for u, f in demands.items()}))
+            argv += ["--demands", str(demands_path)]
+        else:
+            demands = {u: u for u in range(1, layout.n_users + 1)}
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        data = json.loads(text)
+        assert data["schedule"] == schedule_to_dict(build_schedule(layout, q, demands))
+        assert data["verification"]["complete"] is True
 
 
 class TestValidateCommand:
