@@ -13,9 +13,10 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,8 @@ from .caching import CacheLayout, build_schedule, schedule_to_dict, verify_compl
 from .channel import SCENARIOS, DynamicScenario, ShadowingParams, scenario, snr_ave_db
 from .linkphy import SystemConfig
 
-PT_GRID_DB = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0]
-# figure output additionally carries the 18.1 dB link-budget operating point
-FIGURE_PT_GRID_DB = sorted(PT_GRID_DB + [18.1])
+# 3 dB steps plus the 18.1 dB link-budget operating point
+FIGURE_PT_GRID_DB = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 18.1, 21.0]
 
 FIGURE_SCHEMA = [
     "pt_db",
@@ -44,41 +44,51 @@ FIGURE_SCHEMA = [
     "seed",
 ]
 
-_CONFIG_KEYS = {
-    "scenario": str,
-    "m": float,
-    "beta": float,
-    "omega": float,
-    "l": int,
-    "g": int,
-    "q": int,
-    "pt_db": float,
-    "pt_linear": float,
-    "sigma_e2": float,
-    "t": int,
-    "theta": int,
-    "q_max": int,
-    "q_max_baseline": int,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-}
 
-_DEFAULTS = {
-    "scenario": "AS",
-    "l": 8,
-    "g": 6,
-    "q": 8,
-    "pt_db": 18.1,
-    "sigma_e2": 0.125,
-    "t": 10_000,
-    "theta": 12,
-    "q_max": 8,
-    "q_max_baseline": 8,
-    "trials": 100_000,
-    "seed": 0,
-    "workers": 1,
+class _Option(NamedTuple):
+    flag: str
+    type: type
+    default: object  # None: the key is unset unless a file or flag gives it
+    help: str
+    choices: list[str] | None = None
+
+    @property
+    def key(self) -> str:
+        """The config key: the flag without its dashes, in lower case."""
+        return self.flag[2:].lower().replace("-", "_")
+
+
+# every config key and its flag, by the key groups that commands read
+_OPTIONS = {
+    "point": [
+        _Option(
+            "--scenario", str, "AS", "shadowing preset", sorted(SCENARIOS) + [s.lower() for s in SCENARIOS]
+        ),
+        _Option("--m", float, None, "custom Nakagami shape"),
+        _Option("--beta", float, None, "custom half scattering power"),
+        _Option("--omega", float, None, "custom LOS power"),
+        _Option("--L", int, 8, "transmit antennas"),
+        _Option("--G", int, 6, "caching gain (groups per stage; 1 = baseline)"),
+        _Option("--Q", int, 8, "multiplexed users per group"),
+        _Option("--pt-db", float, 18.1, "transmit power in dB"),
+        _Option("--pt-linear", float, None, "transmit power, linear"),
+        _Option("--sigma-e2", float, 0.125, "CSIT error variance"),
+    ],
+    "block": [
+        _Option("--T", int, 10_000, "coherence block length in symbols"),
+        _Option("--theta", int, 12, "pilot symbols per user per block"),
+    ],
+    "caps": [
+        _Option("--q-max", int, 8, "VCC multiplexing cap for gain search"),
+        _Option("--q-max-baseline", int, 8, "baseline multiplexing cap"),
+    ],
+    "mc": [
+        _Option("--trials", int, 100_000, "Monte Carlo trials"),
+        _Option("--seed", int, 0, "master seed"),
+        _Option("--workers", int, 1, "parallel batch workers"),
+    ],
 }
+_KEYS = {o.key: o for group in _OPTIONS.values() for o in group}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -92,13 +102,14 @@ def parse_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = _KEYS[key].type
         try:
-            values[key] = _CONFIG_KEYS[key](text.strip())
+            values[key] = kind(text.strip())
         except ValueError:
             raise ValueError(
-                f"{path}:{lineno}: cannot parse {key} value {text.strip()!r} as {_CONFIG_KEYS[key].__name__}"
+                f"{path}:{lineno}: cannot parse {key} value {text.strip()!r} as {kind.__name__}"
             ) from None
     return values
 
@@ -108,7 +119,7 @@ def _resolved(args: argparse.Namespace) -> dict:
 
     A config file may set only the keys the command registers as flags; any
     other key would be ignored, so it is rejected."""
-    values = dict(_DEFAULTS)
+    values = {key: o.default for key, o in _KEYS.items() if o.default is not None}
     if getattr(args, "config", None):
         from_file = parse_config_file(args.config)
         unread = sorted(set(from_file) - set(vars(args)))
@@ -117,17 +128,16 @@ def _resolved(args: argparse.Namespace) -> dict:
                 f"{args.config}: vccsat {args.command} does not read config key(s) {', '.join(unread)}"
             )
         values.update(from_file)
-    for key in _CONFIG_KEYS:
+    for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     # checked here, before any work, for every command that takes them
-    # (figure --analytic-only runs no batch but records both in its manifest)
+    # (figure --analytic-only runs no batch but records them in its manifest)
     if "trials" in vars(args):
-        if values["trials"] < 100:
-            raise ValueError(f"trials must be >= 100, got {values['trials']}")
-        if values["workers"] < 1:
-            raise ValueError(f"workers must be >= 1, got {values['workers']}")
+        for key, low in (("trials", 100), ("workers", 1), ("seed", 0)):
+            if values[key] < low:
+                raise ValueError(f"{key} must be >= {low}, got {values[key]}")
     # a power flag overrides the other unit; an explicit linear value beats
     # the dB default
     if getattr(args, "pt_db", None) is not None:
@@ -173,28 +183,19 @@ def _system_config(values: dict) -> SystemConfig:
     )
 
 
-@dataclass
-class RunManifest:
-    command: str
-    resolved: dict
-    seed: int | None
-    outputs: list[str]
-    created_utc: str
-    version: str
+def _manifest(command: str, resolved: dict, seed: int | None, outputs: list[str]) -> dict:
+    return {
+        "command": command,
+        "resolved": resolved,
+        "seed": seed,
+        "outputs": outputs,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "version": __version__,
+    }
 
-    @classmethod
-    def create(cls, command: str, resolved: dict, seed: int | None, outputs: list[str]) -> "RunManifest":
-        return cls(
-            command=command,
-            resolved=resolved,
-            seed=seed,
-            outputs=outputs,
-            created_utc=datetime.now(timezone.utc).isoformat(),
-            version=__version__,
-        )
 
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, default=str) + "\n")
+def _write_json(path: str | Path, payload: dict, indent: int | None = 2) -> None:
+    Path(path).write_text(json.dumps(payload, indent=indent, default=str) + "\n")
 
 
 def _fmt(value) -> str:
@@ -252,11 +253,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         out["effective_gain"] = asdict(res)
     if args.json:
-        payload = {
-            "manifest": asdict(RunManifest.create("analyze", values, None, [args.json])),
-            "results": out,
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2, default=str) + "\n")
+        _write_json(args.json, {"manifest": _manifest("analyze", values, None, [args.json]), "results": out})
     return 0
 
 
@@ -312,11 +309,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stem.parent.mkdir(parents=True, exist_ok=True)
     csv_path = stem.with_suffix(".csv")
     json_path = stem.with_suffix(".json")
-    manifest = RunManifest.create("simulate", values, seed, [csv_path.name, json_path.name])
+    manifest = _manifest("simulate", values, seed, [csv_path.name, json_path.name])
     _write_csv(csv_path, columns, [row], json_path.name)
-    json_path.write_text(
-        json.dumps({"manifest": asdict(manifest), "results": results}, indent=2, default=str) + "\n"
-    )
+    _write_json(json_path, {"manifest": manifest, "results": results})
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -343,77 +338,51 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # figure
 # ---------------------------------------------------------------------------
 
-def _figure_curves(fig: int, values: dict) -> list[dict]:
-    """Figure reproductions: curve name, label, config template and q caps."""
-    t, theta = values["t"], values["theta"]
+# the channels of the figure curves, by the label their CSVs carry
+_CHANNELS = {**SCENARIOS, "DYNAMIC": DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)}
 
-    def cfg(scn, l_antennas, sigma=0.125, t_coh=None):
-        return SystemConfig(
-            l_antennas=l_antennas,
-            g_groups=6,
-            q_mux=2,
-            p_t=1.0,
-            shadowing=SCENARIOS[scn] if isinstance(scn, str) else scn,
-            sigma_e2=sigma,
-            t_coherence=t_coh if t_coh is not None else t,
-            theta_pilot=theta,
-        )
-
-    if fig == 1:
-        return [dict(name="fhs_l8", label="FHS", config=cfg("FHS", 8), q_max=8, q_max_baseline=8)]
-    if fig == 2:
-        return [
-            dict(name=f"{s.lower()}_l8", label=s, config=cfg(s, 8), q_max=8, q_max_baseline=8)
-            for s in ("FHS", "AS", "ILS")
-        ]
-    if fig == 3:
-        return [
-            dict(name=f"as_l{l}", label="AS", config=cfg("AS", l), q_max=8, q_max_baseline=8)
-            for l in (8, 16)
-        ]
-    if fig == 4:
-        return [
-            dict(
-                name=f"as_l16_sigma{s:g}",
-                label="AS",
-                config=cfg("AS", 16, sigma=s),
-                q_max=8,
-                q_max_baseline=8,
-            )
-            for s in (0.0, 0.125, 0.25)
-        ]
-    if fig == 5:
-        return [
-            dict(
-                name=f"as_l16_T{t_coh}_cap{cap}",
-                label="AS",
-                config=cfg("AS", 16, t_coh=t_coh),
-                q_max=cap,
-                q_max_baseline=cap,
-            )
-            for t_coh in (1_000, 10_000)
-            for cap in (4, 8)
-        ]
-    if fig == 6:
-        dyn = DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)
-        return [
-            dict(name="ils_l16_static", label="ILS", config=cfg("ILS", 16), q_max=8, q_max_baseline=8),
-            dict(name="dynamic_l16", label="DYNAMIC", config=cfg(dyn, 16), q_max=8, q_max_baseline=8),
-        ]
-    raise ValueError(f"unknown figure id {fig}; expected 1..6")
+# one row per curve: figure id, file name, channel, L, sigma_e2, fixed T
+# (None: --T) and the q cap of both sides; every curve has G = 6
+_FIGURES = [
+    (1, "fhs_l8", "FHS", 8, 0.125, None, 8),
+    (2, "fhs_l8", "FHS", 8, 0.125, None, 8),
+    (2, "as_l8", "AS", 8, 0.125, None, 8),
+    (2, "ils_l8", "ILS", 8, 0.125, None, 8),
+    (3, "as_l8", "AS", 8, 0.125, None, 8),
+    (3, "as_l16", "AS", 16, 0.125, None, 8),
+    (4, "as_l16_sigma0", "AS", 16, 0.0, None, 8),
+    (4, "as_l16_sigma0.125", "AS", 16, 0.125, None, 8),
+    (4, "as_l16_sigma0.25", "AS", 16, 0.25, None, 8),
+    (5, "as_l16_T1000_cap4", "AS", 16, 0.125, 1_000, 4),
+    (5, "as_l16_T1000_cap8", "AS", 16, 0.125, 1_000, 8),
+    (5, "as_l16_T10000_cap4", "AS", 16, 0.125, 10_000, 4),
+    (5, "as_l16_T10000_cap8", "AS", 16, 0.125, 10_000, 8),
+    (6, "ils_l16_static", "ILS", 16, 0.125, None, 8),
+    (6, "dynamic_l16", "DYNAMIC", 16, 0.125, None, 8),
+]
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     values = _resolved(args)
-    curves = _figure_curves(args.figure, values)
+    # each template sits at its q cap, so SystemConfig rejects a T or theta
+    # that leaves no room for the largest q before anything is written
+    curves = [
+        (name, label, cap, SystemConfig(
+            l_antennas=l_antennas, g_groups=6, q_mux=cap, p_t=1.0, shadowing=_CHANNELS[label],
+            sigma_e2=sigma_e2, t_coherence=t or values["t"], theta_pilot=values["theta"],
+        ))
+        for fig, name, label, l_antennas, sigma_e2, t, cap in _FIGURES
+        if fig == args.figure
+    ]
+    if not curves:
+        raise ValueError(f"unknown figure id {args.figure}; expected 1..6")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     seed, trials, workers = values["seed"], values["trials"], values["workers"]
 
     outputs = []
     manifest_name = f"fig{args.figure}_manifest.json"
-    for curve in curves:
-        config = curve["config"]
+    for name, label, cap, config in curves:
         offset = snr_ave_db(1.0, config.shadowing)
         # a curve without a closed form (the LOS/NLOS mixture) leaves its
         # analytic columns empty
@@ -421,8 +390,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
         for r in experiments.sweep(
             config,
             FIGURE_PT_GRID_DB,
-            q_max=curve["q_max"],
-            q_max_baseline=curve["q_max_baseline"],
+            q_max=cap,
+            q_max_baseline=cap,
             trials=trials,
             seed=seed,
             workers=workers,
@@ -433,7 +402,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 {
                     "pt_db": r.pt_db,
                     "snr_ave_db": r.pt_db + offset,
-                    "scenario": curve["label"],
+                    "scenario": label,
                     "L": config.l_antennas,
                     "G": config.g_groups,
                     "Q_best_vcc": getattr(best, "best_q_vcc", None),
@@ -446,13 +415,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
                     "seed": seed,
                 }
             )
-        path = outdir / f"fig{args.figure}_{curve['name']}.csv"
+        path = outdir / f"fig{args.figure}_{name}.csv"
         _write_csv(path, FIGURE_SCHEMA, rows, manifest_name)
         outputs.append(path.name)
         print(f"wrote {path}")
 
-    manifest = RunManifest.create(f"figure {args.figure}", values, seed, outputs)
-    manifest.write(outdir / manifest_name)
+    _write_json(outdir / manifest_name, _manifest(f"figure {args.figure}", values, seed, outputs))
     return 0
 
 
@@ -472,7 +440,10 @@ def _read_demands(path: str) -> dict[int, int]:
             raise ValueError(f"{path}: user id(s) {', '.join(map(repr, repeated))} given more than once")
         return dict(pairs)
 
-    raw = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+    try:
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(raw, dict) or any(type(f) is not int for f in raw.values()):
         raise ValueError(f"{path}: expected a JSON object mapping user id to an integer file index")
     for key in raw:
@@ -495,21 +466,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
     schedule = build_schedule(layout, args.q, demands)
     report = verify_completeness(schedule, layout, demands)
+    resolved = {
+        "states": args.states,
+        "t": args.t,
+        "users_per_group": args.users_per_group,
+        "q": args.q,
+        "n_files": layout.n_files,
+    }
     payload = {
-        "manifest": asdict(
-            RunManifest.create(
-                "schedule",
-                {
-                    "states": args.states,
-                    "t": args.t,
-                    "users_per_group": args.users_per_group,
-                    "q": args.q,
-                    "n_files": layout.n_files,
-                },
-                None,
-                [str(args.out)],
-            )
-        ),
+        "manifest": _manifest("schedule", resolved, None, [str(args.out)]),
         "layout": {
             "n_states": layout.n_states,
             "t": layout.t,
@@ -522,13 +487,18 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         "verification": {
             "complete": report.complete,
             "summary": report.summary(),
-            "missing": {str(u): [[l.file_index, list(l.index_set)] for l in ls] for u, ls in report.missing.items()},
-            "duplicated": {str(u): [[l.file_index, list(l.index_set)] for l in ls] for u, ls in report.duplicated.items()},
+            **{
+                name: {
+                    str(u): [[l.file_index, list(l.index_set)] for l in ls]
+                    for u, ls in getattr(report, name).items()
+                }
+                for name in ("missing", "duplicated", "unexpected")
+            },
         },
     }
     # one line through the C encoder: indent=2 makes json use its pure-Python
     # encoder, which took most of the command's time on large layouts
-    Path(args.out).write_text(json.dumps(payload, default=str) + "\n")
+    _write_json(args.out, payload, indent=None)
     print(f"wrote {args.out}: {report.summary()}")
     return 0 if report.complete else 1
 
@@ -537,29 +507,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(parser: argparse.ArgumentParser, point: bool = True, caps: bool = True, mc: bool = True) -> None:
-    # a command registers only the flags it reads
+def _add_config_flags(parser: argparse.ArgumentParser, *groups: str) -> None:
+    # a command registers only the flags of the key groups it reads
     parser.add_argument("--config", help="flat key=value config file")
-    if point:
-        parser.add_argument("--scenario", choices=sorted(SCENARIOS) + [s.lower() for s in SCENARIOS], help="shadowing preset")
-        parser.add_argument("--m", type=float, help="custom Nakagami shape")
-        parser.add_argument("--beta", type=float, help="custom half scattering power")
-        parser.add_argument("--omega", type=float, help="custom LOS power")
-        parser.add_argument("--L", dest="l", type=int, help="transmit antennas")
-        parser.add_argument("--G", dest="g", type=int, help="caching gain (groups per stage; 1 = baseline)")
-        parser.add_argument("--Q", dest="q", type=int, help="multiplexed users per group")
-        parser.add_argument("--pt-db", dest="pt_db", type=float, help="transmit power in dB")
-        parser.add_argument("--pt-linear", dest="pt_linear", type=float, help="transmit power, linear")
-        parser.add_argument("--sigma-e2", dest="sigma_e2", type=float, help="CSIT error variance")
-    parser.add_argument("--T", dest="t", type=int, help="coherence block length in symbols")
-    parser.add_argument("--theta", type=int, help="pilot symbols per user per block")
-    if caps:
-        parser.add_argument("--q-max", dest="q_max", type=int, help="VCC multiplexing cap for gain search")
-        parser.add_argument("--q-max-baseline", dest="q_max_baseline", type=int, help="baseline multiplexing cap")
-    if mc:
-        parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-        parser.add_argument("--seed", type=int, help="master seed")
-        parser.add_argument("--workers", type=int, help="parallel batch workers")
+    for group in groups:
+        for o in _OPTIONS[group]:
+            parser.add_argument(o.flag, dest=o.key, type=o.type, choices=o.choices, help=o.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,20 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="closed-form quantities at one operating point")
-    _add_config_flags(p, mc=False)
+    _add_config_flags(p, "point", "block", "caps")
     p.add_argument("--gain", action="store_true", help="also optimise Q and report the effective gain")
     p.add_argument("--json", help="write results to this JSON file")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="Monte Carlo rate (and gain) at one operating point")
-    _add_config_flags(p)
+    _add_config_flags(p, "point", "block", "caps", "mc")
     p.add_argument("--gain", action="store_true", help="also estimate the Q-optimised effective gain")
     p.add_argument("--out", default="simulate", help="output path stem for .csv/.json")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("figure", help="reproduce the data behind one of the six result figures")
     p.add_argument("figure", type=int, help="figure id, 1..6")
-    _add_config_flags(p, point=False, caps=False)
+    _add_config_flags(p, "block", "mc")
     p.add_argument("--outdir", default="figures", help="output directory")
     p.add_argument("--analytic-only", action="store_true", help="skip the Monte Carlo columns")
     p.set_defaults(func=cmd_figure)
@@ -600,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("validate", help="run the closed-form-vs-Monte-Carlo oracle suite")
-    _add_config_flags(p, caps=False)
+    _add_config_flags(p, "point", "block", "mc")
     p.set_defaults(func=cmd_validate)
 
     return parser
@@ -611,14 +564,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -42,7 +42,6 @@ class RateEstimate:
 
     mean: float
     std_error: float
-    trials: int
     config: SystemConfig
 
 
@@ -50,7 +49,6 @@ class RateEstimate:
 class ScalarEstimate:
     mean: float
     std_error: float
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class MomentOracleResult:
     xi2_stderr: float
     desired: float
     desired_stderr: float
-    trials: int
 
 
 def _batches(trials: int) -> list[tuple[int, int]]:
@@ -197,7 +194,6 @@ def mc_rate_table(
             RateEstimate(
                 mean=float(means[pi, qi]),
                 std_error=float(ses[pi, qi]),
-                trials=trials,
                 config=replace(config, q_mux=q, p_t=float(pt)),
             )
             for qi, q in enumerate(q_grid)
@@ -298,7 +294,6 @@ def mc_moment_oracle(
         xi2_stderr=float(ses[1]),
         desired=float(means[2]),
         desired_stderr=float(ses[2]),
-        trials=trials,
     )
 
 
@@ -328,7 +323,7 @@ def mc_transmit_power(
 
     totals = _run_batches(worker, trials, workers)
     means, ses = _mean_se(totals[0], totals[1], trials)
-    return ScalarEstimate(mean=float(means), std_error=float(ses), trials=trials)
+    return ScalarEstimate(mean=float(means), std_error=float(ses))
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +333,11 @@ def mc_transmit_power(
 @dataclass(frozen=True)
 class SweepRow:
     """One transmit power of a gain sweep: the closed-form and Monte Carlo
-    Q-optimised gains, None where not evaluated; `error` says why the closed
-    form is missing."""
+    Q-optimised gains, None where not evaluated."""
 
     pt_db: float
     analytic: analysis.GainResult | None
     mc: analysis.GainResult | None
-    error: str | None
 
 
 def sweep(
@@ -360,33 +353,26 @@ def sweep(
     """Closed-form and (unless `monte_carlo` is false) Monte Carlo
     Q-optimised gain at each transmit power in dB.
 
-    The Monte Carlo side is one `mc_gain_table` pass, so one set of channel
-    draws serves the whole grid (power only rescales alpha^2).  A
-    `ValueError` from the closed form, such as the LOS/NLOS mixture's missing
-    moments, is recorded in its row; every other error, Monte Carlo ones
-    included, propagates.
+    The closed form is evaluated only for a `ShadowingParams` channel; the
+    LOS/NLOS mixture has none, so its rows carry None.  Every error
+    propagates.  The Monte Carlo side is one `mc_gain_table` pass, so one set
+    of channel draws serves the whole grid (power only rescales alpha^2).
     """
     if len(pt_db_values) == 0:
         raise ValueError("sweep grid must be nonempty")
     configs = [replace(config, p_t=10.0 ** (float(v) / 10.0)) for v in pt_db_values]
-    analytic: list[analysis.GainResult | None] = []
-    errors: list[str | None] = []
-    for cfg in configs:
-        try:
-            analytic.append(analysis.effective_gain_closed_form(cfg, q_max, q_max_baseline))
-            errors.append(None)
-        except ValueError as exc:
-            analytic.append(None)
-            errors.append(str(exc))
+    analytic = [
+        analysis.effective_gain_closed_form(cfg, q_max, q_max_baseline)
+        if isinstance(config.shadowing, ShadowingParams)
+        else None
+        for cfg in configs
+    ]
     mc = (
         mc_gain_table(config, [cfg.p_t for cfg in configs], q_max, q_max_baseline, trials, seed, workers)
         if monte_carlo
         else [None] * len(configs)
     )
-    return [
-        SweepRow(pt_db=float(v), analytic=a, mc=m, error=e)
-        for v, a, m, e in zip(pt_db_values, analytic, mc, errors)
-    ]
+    return [SweepRow(pt_db=float(v), analytic=a, mc=m) for v, a, m in zip(pt_db_values, analytic, mc)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from vccsat.analysis import alpha2_closed_form, avg_sum_rate_closed_form
-from vccsat.caching import CacheLayout, build_schedule, schedule_to_dict
+from vccsat.caching import (
+    Assignment,
+    CacheLayout,
+    DeliverySchedule,
+    StagePlan,
+    SubfileLabel,
+    build_schedule,
+    schedule_to_dict,
+)
 from vccsat.channel import SCENARIOS
 from vccsat.cli import FIGURE_SCHEMA, main, parse_config_file
 from vccsat.linkphy import SystemConfig
@@ -79,6 +87,44 @@ class TestConfigKeys:
         assert code == 0
         resolved = json.loads((tmp_path / "run.json").read_text())["manifest"]["resolved"]
         assert (resolved["l"], resolved["q_max"], resolved["seed"], resolved["m"]) == (4, 2, 5, 2.0)
+
+
+class TestResolved:
+    """defaults < config file < flags, as the manifest records them."""
+
+    def resolved(self, capsys, tmp_path, text, *flags):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        code, _, _ = run(capsys, "analyze", "--config", str(path), "--json", str(out), *flags)
+        assert code == 0
+        return json.loads(out.read_text())["manifest"]["resolved"]
+
+    @pytest.mark.parametrize(
+        "text, flags, expected",
+        [("", [], 8), ("L = 16\n", [], 16), ("L = 16\n", ["--L", "4"], 4)],
+        ids=["default", "file", "flag"],
+    )
+    def test_override_order(self, capsys, tmp_path, text, flags, expected):
+        assert self.resolved(capsys, tmp_path, text, *flags)["l"] == expected
+
+    def test_pt_db_flag_beats_file_pt_linear(self, capsys, tmp_path):
+        resolved = self.resolved(capsys, tmp_path, "pt_linear = 100\n", "--pt-db", "10")
+        assert resolved["pt_db"] == 10.0
+        assert "pt_linear" not in resolved
+
+    def test_file_pt_linear_beats_db_default(self, capsys, tmp_path):
+        resolved = self.resolved(capsys, tmp_path, "pt_linear = 10\n")
+        assert resolved["pt_linear"] == 10.0
+        assert "pt_db" not in resolved
+
+    def test_key_order(self, capsys, tmp_path):
+        # defaults in table order, then file keys in file order, then flags
+        resolved = self.resolved(capsys, tmp_path, "omega = 1\nm = 2\nbeta = 0.1\n", "--pt-linear", "5")
+        assert list(resolved) == [
+            "scenario", "l", "g", "q", "sigma_e2", "t", "theta", "q_max", "q_max_baseline",
+            "trials", "seed", "workers", "omega", "m", "beta", "pt_linear",
+        ]
 
 
 class TestAnalyze:
@@ -218,8 +264,9 @@ class TestMonteCarloFlags:
             (["--workers", "0"], "workers must be >= 1, got 0"),
             (["--workers", "-3"], "workers must be >= 1, got -3"),
             (["--trials", "5"], "trials must be >= 100, got 5"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
-        ids=["workers0", "workers-3", "trials5"],
+        ids=["workers0", "workers-3", "trials5", "seed-1"],
     )
     def test_rejected_before_any_output(self, capsys, tmp_path, monkeypatch, command, flags, message):
         monkeypatch.chdir(tmp_path)
@@ -280,6 +327,16 @@ class TestFigure:
         assert code == 2
         assert "error: trials must be >= 100, got 50" in err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_block_too_short_for_q_cap_rejected(self, capsys, tmp_path):
+        # q = 8 needs 6*8*12 = 576 pilot symbols; the curves' q = 2 template
+        # would fit, so the check must use the cap
+        outdir = tmp_path / "figs"
+        code, out, err = run(capsys, "figure", "2", "--analytic-only", "--T", "500", "--outdir", str(outdir))
+        assert code == 2
+        assert "G*Q*Theta must be < T" in err
+        assert out == ""
+        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -377,8 +434,9 @@ class TestSchedule:
             ('{" 1": 2, "2": 3}', "user id ' 1' is not a plain decimal integer"),
             ('{"1": 2, "+2": 3}', "user id '+2' is not a plain decimal integer"),
             ('{"1": 2, "1": 1, "2": 3}', "user id(s) '1' given more than once"),
+            ('{"1": 2', "demands.json: malformed JSON: Expecting ',' delimiter"),
         ],
-        ids=["leading-zero", "space", "plus", "repeated"],
+        ids=["leading-zero", "space", "plus", "repeated", "malformed"],
     )
     def test_non_canonical_user_ids_rejected(self, capsys, tmp_path, text, message):
         # "01", " 1" and a repeated "1" all name user 1, so one of its
@@ -395,6 +453,27 @@ class TestSchedule:
         assert code == 2
         assert message in err
         assert not out.exists()
+
+    def test_unexpected_delivery_is_exported(self, capsys, tmp_path, monkeypatch):
+        def build_with_extra(layout, q, demands):
+            # user 1 also receives a subfile of file 3, which user 3 demands
+            schedule = build_schedule(layout, q, demands)
+            extra = StagePlan(groups=(1,), rounds=((Assignment(1, 1, 1, SubfileLabel(3, (2,))),),))
+            return DeliverySchedule(g=schedule.g, q=schedule.q, stages=schedule.stages + (extra,))
+
+        monkeypatch.setattr("vccsat.cli.build_schedule", build_with_extra)
+        out = tmp_path / "sched.json"
+        code, _, _ = run(
+            capsys,
+            "schedule",
+            "--states", "3", "--t", "1", "--users-per-group", "1", "--q", "1",
+            "--out", str(out),
+        )
+        assert code == 1
+        verification = json.loads(out.read_text())["verification"]
+        assert verification["complete"] is False
+        assert verification["unexpected"] == {"1": [[3, [2]]]}
+        assert verification["missing"] == {} and verification["duplicated"] == {}
 
     @pytest.mark.parametrize(
         "states, t, users_per_group, q, demands",

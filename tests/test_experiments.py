@@ -174,7 +174,7 @@ class TestGainEstimation:
         config = make_config(q_mux=2)
         rows = sweep(config, [0.0, 9.0, 18.0], trials=50_000, seed=0, workers=2)
         for row in rows:
-            assert row.error is None
+            assert row.analytic is not None
             assert abs(row.analytic.gain - row.mc.gain) / row.mc.gain <= 0.05
 
 
@@ -195,14 +195,20 @@ class TestSweep:
         rows = sweep(make_config(), [10.0], monte_carlo=False)
         assert len(rows) == 1
         assert rows[0].pt_db == 10.0
-        assert rows[0].error is None and rows[0].mc is None
+        assert rows[0].analytic is not None and rows[0].mc is None
         assert rows[0].analytic.gain > 1
 
     def test_closed_form_on_mixture_recorded_in_row(self):
+        # the LOS/NLOS mixture has no closed form, so its rows carry None
         config = make_config(shadowing=DynamicScenario())
         rows = sweep(config, [10.0], monte_carlo=False)
-        assert "no closed-form" in rows[0].error
         assert rows[0].analytic is None
+
+    def test_closed_form_error_propagates(self):
+        # q = 7 needs 6*7*12 = 504 pilot symbols, more than T = 500
+        config = make_config(q_mux=2, t_coherence=500)
+        with pytest.raises(ValueError, match="G\\*Q\\*Theta must be < T"):
+            sweep(config, [10.0], monte_carlo=False)
 
     def test_power_sweep_fast_path_matches_per_point_calls(self):
         config = make_config()
