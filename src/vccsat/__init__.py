@@ -18,7 +18,7 @@ from .analysis import (
     intra_interference_term,
     xi_moments_closed_form,
 )
-from .caching import CacheLayout, DeliverySchedule, SubfileLabel, build_schedule, verify_completeness
+from .caching import CacheLayout, DeliverySchedule, build_schedule, verify_completeness
 from .channel import (
     SCENARIOS,
     DynamicScenario,
@@ -30,8 +30,7 @@ from .channel import (
     substream,
 )
 from .experiments import (
-    MomentOracleResult,
-    RateEstimate,
+    Estimate,
     SweepRow,
     mc_gain_table,
     mc_moment_oracle,

@@ -17,7 +17,6 @@ from typing import Mapping
 
 __all__ = [
     "CacheLayout",
-    "SubfileLabel",
     "Assignment",
     "StagePlan",
     "DeliverySchedule",
@@ -75,19 +74,8 @@ class CacheLayout:
         return range(start, start + self.users_per_group)
 
 
-@dataclass(frozen=True, slots=True)
-class SubfileLabel:
-    """Subfile of file `file_index` labelled by the sorted state set `index_set`."""
-
-    file_index: int
-    index_set: tuple[int, ...]
-
-    def __post_init__(self):
-        index_set = tuple(sorted(self.index_set))
-        if index_set != self.index_set:
-            object.__setattr__(self, "index_set", index_set)
-        if len(set(index_set)) != len(index_set):
-            raise ValueError(f"index_set has duplicates: {index_set}")
+# a delivered subfile: (file, sorted state set)
+_Label = tuple[int, tuple[int, ...]]
 
 
 def enumerate_stages(layout: CacheLayout) -> list[tuple[int, ...]]:
@@ -97,10 +85,14 @@ def enumerate_stages(layout: CacheLayout) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, slots=True)
 class Assignment:
+    """User `user` in slot `slot` of group `group` receives the subfile of
+    file `file` labelled by the sorted state set `subfile`."""
+
     group: int
     slot: int
     user: int
-    subfile: SubfileLabel
+    file: int
+    subfile: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -165,14 +157,7 @@ def build_schedule(layout: CacheLayout, q: int, demands: Mapping[int, int]) -> D
             for group, label_set, members in served:
                 for slot in range(1, q + 1):
                     user = members[r * q + slot - 1]
-                    assignments.append(
-                        Assignment(
-                            group=group,
-                            slot=slot,
-                            user=user,
-                            subfile=SubfileLabel(demands[user], label_set),
-                        )
-                    )
+                    assignments.append(Assignment(group, slot, user, demands[user], label_set))
             rounds.append(tuple(assignments))
         stages.append(StagePlan(groups=stage_set, rounds=tuple(rounds)))
     return DeliverySchedule(g=layout.caching_gain, q=q, stages=tuple(stages))
@@ -180,13 +165,14 @@ def build_schedule(layout: CacheLayout, q: int, demands: Mapping[int, int]) -> D
 
 @dataclass
 class CompletenessReport:
-    """Outcome of the exhaustive per-user delivery audit."""
+    """Outcome of the exhaustive per-user delivery audit: per user, the
+    sorted (file, states) labels missing, delivered more than once, or not
+    needed."""
 
     complete: bool
-    missing: dict[int, list[SubfileLabel]] = field(default_factory=dict)
-    duplicated: dict[int, list[SubfileLabel]] = field(default_factory=dict)
-    unexpected: dict[int, list[SubfileLabel]] = field(default_factory=dict)
-    delivered_per_user: dict[int, int] = field(default_factory=dict)
+    missing: dict[int, list[_Label]] = field(default_factory=dict)
+    duplicated: dict[int, list[_Label]] = field(default_factory=dict)
+    unexpected: dict[int, list[_Label]] = field(default_factory=dict)
 
     def summary(self) -> str:
         if self.complete:
@@ -198,9 +184,9 @@ class CompletenessReport:
         )
 
 
-def _add_labels(target: dict[int, list[SubfileLabel]], user: int, pairs) -> None:
-    """Record the (file_index, index_set) pairs, if any, as sorted labels."""
-    labels = [SubfileLabel(f, s) for f, s in sorted(pairs)]
+def _add_labels(target: dict[int, list[_Label]], user: int, labels) -> None:
+    """Record the (file, states) labels, if any, sorted."""
+    labels = sorted(labels)
     if labels:
         target[user] = labels
 
@@ -209,16 +195,13 @@ def verify_completeness(
     schedule: DeliverySchedule, layout: CacheLayout, demands: Mapping[int, int]
 ) -> CompletenessReport:
     """Check that for every user the delivered labels are exactly the labels
-    of its demanded file that its cache state lacks, each delivered once.
-
-    Labels are compared as plain (file_index, index_set) values; only the
-    ones the report names are built as SubfileLabels."""
+    of its demanded file that its cache state lacks, each delivered once."""
     _check_demands(layout, demands)
-    delivered: dict[int, list[SubfileLabel]] = {u: [] for u in range(1, layout.n_users + 1)}
+    delivered: dict[int, list[_Label]] = {u: [] for u in range(1, layout.n_users + 1)}
     for stage in schedule.stages:
         for round_assignments in stage.rounds:
             for a in round_assignments:
-                delivered[a.user].append(a.subfile)
+                delivered[a.user].append((a.file, a.subfile))
 
     all_sets = list(combinations(range(1, layout.n_states + 1), layout.t))
     # the label sets each group's cache lacks, shared by its users
@@ -227,18 +210,17 @@ def verify_completeness(
     }
     report = CompletenessReport(complete=True)
     for user, labels in delivered.items():
-        file_index = demands[user]
+        file = demands[user]
         needed = lacking[layout.group_of(user)]
-        got = {l.index_set for l in labels if l.file_index == file_index}
-        _add_labels(report.missing, user, ((file_index, s) for s in needed - got))
-        unexpected = [(file_index, s) for s in got - needed]
+        got = {s for f, s in labels if f == file}
+        _add_labels(report.missing, user, ((file, s) for s in needed - got))
+        unexpected = [(file, s) for s in got - needed]
         if len(got) < len(labels):
             # a label delivered twice, or one of another file
-            counts = Counter((l.file_index, l.index_set) for l in labels)
-            _add_labels(report.duplicated, user, (key for key, c in counts.items() if c > 1))
-            unexpected += [key for key in counts if key[0] != file_index]
+            counts = Counter(labels)
+            _add_labels(report.duplicated, user, (label for label, c in counts.items() if c > 1))
+            unexpected += [label for label in counts if label[0] != file]
         _add_labels(report.unexpected, user, unexpected)
-        report.delivered_per_user[user] = len(labels)
     report.complete = not (report.missing or report.duplicated or report.unexpected)
     return report
 
@@ -259,8 +241,8 @@ def schedule_to_dict(schedule: DeliverySchedule) -> dict:
                             "group": a.group,
                             "slot": a.slot,
                             "user": a.user,
-                            "file": a.subfile.file_index,
-                            "subfile": list(a.subfile.index_set),
+                            "file": a.file,
+                            "subfile": list(a.subfile),
                         }
                         for a in round_assignments
                     ]

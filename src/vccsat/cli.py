@@ -487,13 +487,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         "verification": {
             "complete": report.complete,
             "summary": report.summary(),
-            **{
-                name: {
-                    str(u): [[l.file_index, list(l.index_set)] for l in ls]
-                    for u, ls in getattr(report, name).items()
-                }
-                for name in ("missing", "duplicated", "unexpected")
-            },
+            "missing": report.missing,
+            "duplicated": report.duplicated,
+            "unexpected": report.unexpected,
         },
     }
     # one line through the C encoder: indent=2 makes json use its pure-Python
@@ -564,7 +560,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

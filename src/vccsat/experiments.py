@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,31 +36,11 @@ _STREAM_POWER = 3
 _INV_LN2 = 1.0 / np.log(2.0)
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Monte Carlo mean of the effective sum rate with its standard error."""
+class Estimate(NamedTuple):
+    """Monte Carlo mean with its standard error."""
 
     mean: float
     std_error: float
-    config: SystemConfig
-
-
-@dataclass(frozen=True)
-class ScalarEstimate:
-    mean: float
-    std_error: float
-
-
-@dataclass(frozen=True)
-class MomentOracleResult:
-    """Empirical xi1, xi2 and desired-signal moments with standard errors."""
-
-    xi1: float
-    xi1_stderr: float
-    xi2: float
-    xi2_stderr: float
-    desired: float
-    desired_stderr: float
 
 
 def _batches(trials: int) -> list[tuple[int, int]]:
@@ -170,36 +150,13 @@ def mc_sum_rate(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-) -> RateEstimate:
+) -> Estimate:
     """Monte Carlo mean of the effective sum rate at the given operating
     point, using the statistical power factor of the closed-form analysis."""
-    return mc_rate_table(config, [config.q_mux], [config.p_t], trials, seed, workers)[0][0]
-
-
-def mc_rate_table(
-    config: SystemConfig,
-    q_grid: Sequence[int],
-    pt_values: Sequence[float],
-    trials: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[list[RateEstimate]]:
-    """Sum-rate estimates on a (transmit power, q) grid, indexed
-    [pt][q], sharing one set of channel draws of width max(q_grid)."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    means, ses = _rate_table_raw(config, q_grid, pt_values, trials, seed, workers, _STREAM_RATE)
-    return [
-        [
-            RateEstimate(
-                mean=float(means[pi, qi]),
-                std_error=float(ses[pi, qi]),
-                config=replace(config, q_mux=q, p_t=float(pt)),
-            )
-            for qi, q in enumerate(q_grid)
-        ]
-        for pi, pt in enumerate(pt_values)
-    ]
+    means, ses = _rate_table_raw(config, [config.q_mux], [config.p_t], trials, seed, workers, _STREAM_RATE)
+    return Estimate(float(means[0, 0]), float(ses[0, 0]))
 
 
 def mc_gain_table(
@@ -253,8 +210,9 @@ def mc_moment_oracle(
     trials: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-) -> MomentOracleResult:
-    """Empirical counterparts of the closed-form moments.
+) -> tuple[Estimate, Estimate, Estimate]:
+    """Empirical counterparts of the closed-form moments, as the estimates
+    (xi1, xi2, desired).
 
     xi1 from ||h||^4 samples, xi2 from |h^T hhat'^*|^2 with the estimate of a
     second, independent user, and the desired-signal moment |h^T hhat^*|^2
@@ -287,14 +245,7 @@ def mc_moment_oracle(
 
     totals = _run_batches(worker, trials, workers)
     means, ses = _mean_se(totals[:, 0], totals[:, 1], trials)
-    return MomentOracleResult(
-        xi1=float(means[0]),
-        xi1_stderr=float(ses[0]),
-        xi2=float(means[1]),
-        xi2_stderr=float(ses[1]),
-        desired=float(means[2]),
-        desired_stderr=float(ses[2]),
-    )
+    return tuple(Estimate(float(m), float(se)) for m, se in zip(means, ses))
 
 
 def mc_transmit_power(
@@ -302,7 +253,7 @@ def mc_transmit_power(
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-) -> ScalarEstimate:
+) -> Estimate:
     """Empirical E[||x||^2] of the superimposed matched-filter signal with
     unit-power Gaussian symbols; must match P_t under the statistical
     power factor."""
@@ -323,7 +274,7 @@ def mc_transmit_power(
 
     totals = _run_batches(worker, trials, workers)
     means, ses = _mean_se(totals[0], totals[1], trials)
-    return ScalarEstimate(mean=float(means), std_error=float(ses))
+    return Estimate(float(means), float(ses))
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +368,11 @@ def oracle_suite(
             )
         )
 
-    mom = mc_moment_oracle(config.shadowing, config.sigma_e2, config.l_antennas, moment_trials, seed, workers)
-    for name, mc_val, se, cf_val in (
-        ("moment-xi1", mom.xi1, mom.xi1_stderr, cf.xi1),
-        ("moment-xi2", mom.xi2, mom.xi2_stderr, cf.xi2),
-        ("moment-desired", mom.desired, mom.desired_stderr, des),
+    moments = mc_moment_oracle(
+        config.shadowing, config.sigma_e2, config.l_antennas, moment_trials, seed, workers
+    )
+    for name, (mc_val, se), cf_val in zip(
+        ("moment-xi1", "moment-xi2", "moment-desired"), moments, (cf.xi1, cf.xi2, des)
     ):
         ok = abs(mc_val - cf_val) <= 3.0 * se
         checks.append(

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -11,7 +12,6 @@ from vccsat.caching import (
     CacheLayout,
     DeliverySchedule,
     StagePlan,
-    SubfileLabel,
     build_schedule,
     enumerate_stages,
     schedule_to_dict,
@@ -26,25 +26,30 @@ def distinct_demands(layout):
 def label_audit(schedule, layout, demands):
     """The delivery audit written label by label: the reference that
     verify_completeness is checked against.  Returns the missing, duplicated
-    and unexpected labels per user and the deliveries per user."""
+    and unexpected (file, states) labels per user."""
     delivered = {u: [] for u in range(1, layout.n_users + 1)}
     for stage in schedule.stages:
         for round_assignments in stage.rounds:
             for a in round_assignments:
-                delivered[a.user].append(a.subfile)
+                delivered[a.user].append((a.file, a.subfile))
     all_sets = list(combinations(range(1, layout.n_states + 1), layout.t))
     missing, duplicated, unexpected = {}, {}, {}
     for user, labels in delivered.items():
         group = layout.group_of(user)
-        needed = {SubfileLabel(demands[user], tset) for tset in all_sets if group not in tset}
+        needed = {(demands[user], tset) for tset in all_sets if group not in tset}
         for target, found in (
             (missing, needed - set(labels)),
             (duplicated, {l for l in labels if labels.count(l) > 1}),
             (unexpected, set(labels) - needed),
         ):
             if found:
-                target[user] = sorted(found, key=lambda l: (l.file_index, l.index_set))
-    return missing, duplicated, unexpected, {u: len(labels) for u, labels in delivered.items()}
+                target[user] = sorted(found)
+    return missing, duplicated, unexpected
+
+
+def delivery_counts(schedule):
+    """Labels delivered to each user, counted from the schedule."""
+    return Counter(a.user for stage in schedule.stages for rnd in stage.rounds for a in rnd)
 
 
 class TestCacheLayout:
@@ -102,8 +107,8 @@ class TestBuildSchedule:
         first = schedule.stages[0]
         assert first.groups == (1, 2)
         by_group = {a.group: a for a in first.rounds[0]}
-        assert by_group[1].subfile == SubfileLabel(1, (2,))
-        assert by_group[2].subfile == SubfileLabel(2, (1,))
+        assert (by_group[1].file, by_group[1].subfile) == (1, (2,))
+        assert (by_group[2].file, by_group[2].subfile) == (2, (1,))
 
     def test_five_state_two_slot_layout(self):
         layout = CacheLayout(n_states=5, t=2, n_files=10, users_per_group=2)
@@ -140,21 +145,6 @@ class TestBuildSchedule:
             build_schedule(layout, 1, {1: 1, 2: 2})
 
 
-class TestSubfileLabel:
-    def test_index_set_is_sorted(self):
-        assert SubfileLabel(4, (3, 1, 2)).index_set == (1, 2, 3)
-        assert SubfileLabel(4, [3, 1]) == SubfileLabel(4, (1, 3))
-
-    def test_duplicate_states_rejected(self):
-        with pytest.raises(ValueError, match="duplicates"):
-            SubfileLabel(1, (2, 2))
-
-    def test_not_equal_to_a_plain_tuple(self):
-        label = SubfileLabel(1, (2, 3))
-        assert label != (1, (2, 3))
-        assert len({label, (1, (2, 3))}) == 2
-
-
 class TestVerifyCompleteness:
     def test_valid_schedule_is_complete(self):
         layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
@@ -163,7 +153,8 @@ class TestVerifyCompleteness:
         report = verify_completeness(schedule, layout, demands)
         assert report.complete
         # each user receives C(2, 1) = 2 subfiles over the stages containing its group
-        assert all(count == 2 for count in report.delivered_per_user.values())
+        counts = delivery_counts(schedule)
+        assert sorted(counts) == [1, 2, 3] and all(count == 2 for count in counts.values())
 
     def test_deleting_a_stage_is_reported(self):
         layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
@@ -175,8 +166,8 @@ class TestVerifyCompleteness:
         # dropped stage (1, 2) serves one user of group 1 and one of group 2,
         # so exactly those two users each miss exactly one label
         assert set(report.missing) == {1, 2}
-        assert report.missing[1] == [SubfileLabel(1, (2,))]
-        assert report.missing[2] == [SubfileLabel(2, (1,))]
+        assert report.missing[1] == [(1, (2,))]
+        assert report.missing[2] == [(2, (1,))]
         assert not report.duplicated
 
     def test_duplicated_delivery_is_reported(self):
@@ -189,9 +180,9 @@ class TestVerifyCompleteness:
         report = verify_completeness(doubled, layout, demands)
         assert not report.complete
         # the repeated stage (1, 2) serves user 1 label {2} and user 2 label {1}
-        assert report.duplicated == {1: [SubfileLabel(1, (2,))], 2: [SubfileLabel(2, (1,))]}
+        assert report.duplicated == {1: [(1, (2,))], 2: [(2, (1,))]}
         assert not report.missing and not report.unexpected
-        assert report.delivered_per_user == {1: 3, 2: 3, 3: 2}
+        assert delivery_counts(doubled) == {1: 3, 2: 3, 3: 2}
 
     def test_unexpected_delivery_is_reported(self):
         layout = CacheLayout(n_states=3, t=1, n_files=3, users_per_group=1)
@@ -203,19 +194,19 @@ class TestVerifyCompleteness:
             groups=(1,),
             rounds=(
                 (
-                    Assignment(group=1, slot=1, user=1, subfile=SubfileLabel(3, (2,))),
-                    Assignment(group=1, slot=1, user=1, subfile=SubfileLabel(1, (1,))),
-                    Assignment(group=1, slot=1, user=1, subfile=SubfileLabel(3, (2,))),
+                    Assignment(group=1, slot=1, user=1, file=3, subfile=(2,)),
+                    Assignment(group=1, slot=1, user=1, file=1, subfile=(1,)),
+                    Assignment(group=1, slot=1, user=1, file=3, subfile=(2,)),
                 ),
             ),
         )
         padded = DeliverySchedule(g=schedule.g, q=schedule.q, stages=schedule.stages + (extra,))
         report = verify_completeness(padded, layout, demands)
         assert not report.complete
-        assert report.unexpected == {1: [SubfileLabel(1, (1,)), SubfileLabel(3, (2,))]}
-        assert report.duplicated == {1: [SubfileLabel(3, (2,))]}
+        assert report.unexpected == {1: [(1, (1,)), (3, (2,))]}
+        assert report.duplicated == {1: [(3, (2,))]}
         assert not report.missing
-        assert report.delivered_per_user == {1: 5, 2: 2, 3: 2}
+        assert delivery_counts(padded) == {1: 5, 2: 2, 3: 2}
         assert report.summary() == "incomplete: 0 missing, 1 duplicated, 2 unexpected deliveries"
 
     @settings(max_examples=150, deadline=None)
@@ -241,13 +232,13 @@ class TestVerifyCompleteness:
                 assignments.append(a)
             elif kind == 2:
                 f = data.draw(st.integers(1, n_files))
-                assignments[i] = Assignment(a.group, a.slot, a.user, SubfileLabel(f, a.subfile.index_set))
+                assignments[i] = Assignment(a.group, a.slot, a.user, f, a.subfile)
             elif kind == 3:
                 states = data.draw(st.sets(st.integers(1, n_states), min_size=1))
-                assignments[i] = Assignment(a.group, a.slot, a.user, SubfileLabel(a.subfile.file_index, states))
+                assignments[i] = Assignment(a.group, a.slot, a.user, a.file, tuple(sorted(states)))
             else:
                 user = data.draw(st.integers(1, layout.n_users))
-                assignments[i] = Assignment(a.group, a.slot, user, a.subfile)
+                assignments[i] = Assignment(a.group, a.slot, user, a.file, a.subfile)
             if not assignments:
                 break
         edited = DeliverySchedule(
@@ -255,8 +246,8 @@ class TestVerifyCompleteness:
         )
         report = verify_completeness(edited, layout, demands)
         expected = label_audit(edited, layout, demands)
-        assert (report.missing, report.duplicated, report.unexpected, report.delivered_per_user) == expected
-        assert report.complete == (expected[:3] == ({}, {}, {}))
+        assert (report.missing, report.duplicated, report.unexpected) == expected
+        assert report.complete == (expected == ({}, {}, {}))
 
     def test_eight_state_delivery_count(self):
         layout = CacheLayout(n_states=8, t=3, n_files=16, users_per_group=2)
@@ -266,7 +257,8 @@ class TestVerifyCompleteness:
         assert report.complete
         # needed-per-user count C(7, 3) equals the number of stages containing
         # the user's group, C(7, G-1)
-        assert all(count == comb(7, 3) for count in report.delivered_per_user.values())
+        counts = delivery_counts(schedule)
+        assert len(counts) == layout.n_users and all(count == comb(7, 3) for count in counts.values())
         assert comb(7, 3) == comb(7, layout.caching_gain - 1)
 
     @pytest.mark.parametrize("n_states", [2, 3, 4, 5])

@@ -10,7 +10,6 @@ from vccsat.caching import (
     CacheLayout,
     DeliverySchedule,
     StagePlan,
-    SubfileLabel,
     build_schedule,
     schedule_to_dict,
 )
@@ -197,6 +196,27 @@ class TestAnalyze:
         data = json.loads(path.read_text())
         assert data["manifest"]["command"] == "analyze"
         assert data["results"]["avg_sum_rate"] > 0
+
+
+class TestOSError:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--config", "{dir}"],
+            ["schedule", "--states", "2", "--t", "1", "--users-per-group", "1", "--q", "1",
+             "--demands", "{dir}", "--out", "{dir}/sched.json"],
+            ["figure", "1", "--analytic-only", "--outdir", "{file}"],
+        ],
+        ids=["config-is-a-directory", "demands-is-a-directory", "outdir-is-a-file"],
+    )
+    def test_reported_as_usage_error(self, capsys, tmp_path, argv):
+        # for schedule, exit 1 would read as "schedule incomplete"
+        (tmp_path / "file").write_text("")
+        argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 class TestSimulate:
@@ -454,14 +474,33 @@ class TestSchedule:
         assert message in err
         assert not out.exists()
 
-    def test_unexpected_delivery_is_exported(self, capsys, tmp_path, monkeypatch):
-        def build_with_extra(layout, q, demands):
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
             # user 1 also receives a subfile of file 3, which user 3 demands
+            (
+                lambda stages: stages + (StagePlan(groups=(1,), rounds=((Assignment(1, 1, 1, 3, (2,)),),)),),
+                {"missing": {}, "duplicated": {}, "unexpected": {"1": [[3, [2]]]}},
+            ),
+            # stage (1, 2) dropped: user 1 lacks label {2} of file 1, user 2 label {1} of file 2
+            (
+                lambda stages: stages[1:],
+                {"missing": {"1": [[1, [2]]], "2": [[2, [1]]]}, "duplicated": {}, "unexpected": {}},
+            ),
+            # stage (1, 2) repeated: the same two labels arrive twice
+            (
+                lambda stages: stages + stages[:1],
+                {"missing": {}, "duplicated": {"1": [[1, [2]]], "2": [[2, [1]]]}, "unexpected": {}},
+            ),
+        ],
+        ids=["unexpected", "missing", "duplicated"],
+    )
+    def test_incomplete_delivery_is_exported(self, capsys, tmp_path, monkeypatch, edit, expected):
+        def build_edited(layout, q, demands):
             schedule = build_schedule(layout, q, demands)
-            extra = StagePlan(groups=(1,), rounds=((Assignment(1, 1, 1, SubfileLabel(3, (2,))),),))
-            return DeliverySchedule(g=schedule.g, q=schedule.q, stages=schedule.stages + (extra,))
+            return DeliverySchedule(g=schedule.g, q=schedule.q, stages=edit(schedule.stages))
 
-        monkeypatch.setattr("vccsat.cli.build_schedule", build_with_extra)
+        monkeypatch.setattr("vccsat.cli.build_schedule", build_edited)
         out = tmp_path / "sched.json"
         code, _, _ = run(
             capsys,
@@ -472,8 +511,7 @@ class TestSchedule:
         assert code == 1
         verification = json.loads(out.read_text())["verification"]
         assert verification["complete"] is False
-        assert verification["unexpected"] == {"1": [[3, [2]]]}
-        assert verification["missing"] == {} and verification["duplicated"] == {}
+        assert {name: verification[name] for name in expected} == expected
 
     @pytest.mark.parametrize(
         "states, t, users_per_group, q, demands",

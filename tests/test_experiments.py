@@ -12,10 +12,11 @@ from vccsat.analysis import (
 )
 from vccsat.channel import SCENARIOS, DynamicScenario, substream
 from vccsat.experiments import (
+    _STREAM_RATE,
     BATCH_TRIALS,
+    _rate_table_raw,
     mc_gain_table,
     mc_moment_oracle,
-    mc_rate_table,
     mc_sum_rate,
     mc_transmit_power,
     oracle_suite,
@@ -40,14 +41,20 @@ def make_config(**kwargs):
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_results(self):
-        config = make_config()
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda trials, workers: mc_sum_rate(make_config(), trials, 5, workers),
+            lambda trials, workers: mc_transmit_power(make_config(), trials, 5, workers),
+            lambda trials, workers: mc_moment_oracle(SCENARIOS["AS"], 0.125, 8, trials, 5, workers),
+            lambda trials, workers: mc_gain_table(make_config(), [1.0, 10.0], 4, 4, trials, 5, workers),
+        ],
+        ids=["mc_sum_rate", "mc_transmit_power", "mc_moment_oracle", "mc_gain_table"],
+    )
+    def test_worker_count_does_not_change_results(self, estimate):
         trials = 3 * BATCH_TRIALS + 17
-        a = mc_sum_rate(config, trials=trials, seed=5, workers=1)
-        b = mc_sum_rate(config, trials=trials, seed=5, workers=2)
-        c = mc_sum_rate(config, trials=trials, seed=5, workers=4)
-        assert a.mean == b.mean == c.mean
-        assert a.std_error == b.std_error == c.std_error
+        a, b, c = (estimate(trials, workers) for workers in (1, 2, 4))
+        assert a == b == c
 
     def test_seed_changes_results(self):
         config = make_config()
@@ -80,6 +87,8 @@ class TestEstimatorBehaviour:
             mc_sum_rate(make_config(), trials=50)
         with pytest.raises(ValueError):
             mc_moment_oracle(SCENARIOS["AS"], 0.125, 8, trials=5000)
+        with pytest.raises(ValueError):
+            mc_transmit_power(make_config(), trials=50)
 
     def test_rate_matches_closed_form_at_operating_point(self):
         # moderate-SNR cell where the log-of-means approximation is tight
@@ -110,17 +119,17 @@ class TestEstimatorBehaviour:
 class TestMomentOracle:
     def test_moments_match_closed_forms(self):
         params = SCENARIOS["FHS"]
-        res = mc_moment_oracle(params, 0.125, 8, trials=200_000, seed=7)
+        xi1, xi2, desired = mc_moment_oracle(params, 0.125, 8, trials=200_000, seed=7)
         cf = xi_moments_closed_form(params, 0.125, 8)
-        assert abs(res.xi1 - cf.xi1) <= 3 * res.xi1_stderr
-        assert abs(res.xi2 - cf.xi2) <= 3 * res.xi2_stderr
-        assert abs(res.desired - desired_signal_moment(params, 0.125, 8)) <= 3 * res.desired_stderr
+        assert abs(xi1.mean - cf.xi1) <= 3 * xi1.std_error
+        assert abs(xi2.mean - cf.xi2) <= 3 * xi2.std_error
+        assert abs(desired.mean - desired_signal_moment(params, 0.125, 8)) <= 3 * desired.std_error
 
     def test_zero_channel_gives_zero_moments(self):
         from vccsat.channel import ShadowingParams
 
-        res = mc_moment_oracle(ShadowingParams(1.0, 0.0, 0.0), 0.0, 4, trials=10_000, seed=0)
-        assert res.xi1 == 0.0 and res.xi2 == 0.0 and res.desired == 0.0
+        moments = mc_moment_oracle(ShadowingParams(1.0, 0.0, 0.0), 0.0, 4, trials=10_000, seed=0)
+        assert [m.mean for m in moments] == [0.0, 0.0, 0.0]
 
 
 class TestPowerContract:
@@ -163,11 +172,15 @@ class TestGainEstimation:
 
     def test_rate_table_matches_scalar_estimates(self):
         config = make_config(q_mux=2)
-        table = mc_rate_table(config, [2, 4], [5.0, 20.0], trials=2000, seed=6)
-        assert len(table) == 2 and len(table[0]) == 2
-        assert table[0][0].config.q_mux == 2 and table[1][1].config.p_t == 20.0
+        means, ses = _rate_table_raw(config, [2, 4], [5.0, 20.0], 2000, 6, 1, _STREAM_RATE)
+        assert means.shape == ses.shape == (2, 2)
+        # indexed [pt][q]: the q=4 cells draw at the width mc_sum_rate uses
+        # for q=4, so they equal its estimates bit for bit
+        for pi, pt in enumerate([5.0, 20.0]):
+            est = mc_sum_rate(replace(config, q_mux=4, p_t=pt), trials=2000, seed=6)
+            assert (means[pi, 1], ses[pi, 1]) == est
         # q grid of width 4: rates at q=4 dominate q=2 cells at equal power here
-        assert table[1][1].mean > table[1][0].mean
+        assert means[1, 1] > means[1, 0]
 
     def test_gain_sweep_tracks_closed_form_within_tolerance(self):
         # Q-optimised gains: analytic vs Monte Carlo per grid point
