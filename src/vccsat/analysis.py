@@ -13,6 +13,7 @@ exact, and every formula here is validated against Monte Carlo oracles in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -78,8 +79,8 @@ def xi_moments_closed_form(params: ShadowingParams, sigma_e2: float, l_antennas:
             f"{type(params).__name__} has no closed-form moments; the LOS/NLOS "
             "mixture is evaluated by Monte Carlo only"
         )
-    if sigma_e2 < 0:
-        raise ValueError(f"sigma_e2 must be >= 0, got {sigma_e2}")
+    if not 0 <= sigma_e2 < math.inf:
+        raise ValueError(f"sigma_e2 must be finite and >= 0, got {sigma_e2}")
     if l_antennas < 1:
         raise ValueError(f"l_antennas must be >= 1, got {l_antennas}")
     m, b, w = params.m, params.beta, params.omega

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, experiments
 from .caching import CacheLayout, build_schedule, schedule_to_dict, verify_completeness
-from .channel import SCENARIOS, DynamicScenario, ShadowingParams, scenario, snr_ave_db
+from .channel import SCENARIOS, STREAM_VERSION, DynamicScenario, ShadowingParams, scenario, snr_ave_db
 from .linkphy import SystemConfig
 
 # 3 dB steps plus the 18.1 dB link-budget operating point
@@ -184,10 +184,13 @@ def _system_config(values: dict) -> SystemConfig:
 
 
 def _manifest(command: str, resolved: dict, seed: int | None, outputs: list[str]) -> dict:
+    """A seeded manifest also names the stream version its seed was drawn under."""
+    stream = {} if seed is None else {"stream_version": STREAM_VERSION}
     return {
         "command": command,
         "resolved": resolved,
         "seed": seed,
+        **stream,
         "outputs": outputs,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "version": __version__,

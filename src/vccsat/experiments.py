@@ -10,6 +10,7 @@ rescales alpha^2), which also pins the Q argmax to one set of realisations.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -220,6 +221,8 @@ def mc_moment_oracle(
     """
     if trials < 10_000:
         raise ValueError(f"trials must be >= 10000, got {trials}")
+    if not 0 <= sigma_e2 < math.inf:
+        raise ValueError(f"sigma_e2 must be finite and >= 0, got {sigma_e2}")
 
     def worker(j: int, n: int) -> np.ndarray:
         rng = substream(seed, _STREAM_MOMENTS, j)

@@ -8,13 +8,19 @@ temporary working directory and with relative output paths, because the
 fixtures are regenerated only by a change that moves the random stream or
 the output format on purpose, and that change says so by name.
 
-    python3 tests/make_golden.py
+    python3 tests/make_golden.py [run ...]
+
+Regenerating reports the drift on stderr: for every fixture that changed,
+the largest relative change of each numeric CSV column (or that a
+non-CSV file changed), then the fixtures that stayed byte-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import math
 import os
 import re
 import shutil
@@ -63,14 +69,55 @@ def golden_outputs(run: str) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted((GOLDEN_DIR / run).iterdir())}
 
 
+def _csv_columns(data: bytes) -> dict[str, list[str]]:
+    rows = list(csv.reader(line for line in data.decode().splitlines() if not line.startswith("#")))
+    return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _largest_relative_change(old: list[str], new: list[str]) -> str:
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            return "changed"
+        worst = max(worst, abs(y - x) / abs(x) if x else math.inf)
+    return f"{worst:.2g}"
+
+
+def _drift(name: str, old: bytes | None, new: bytes) -> str:
+    """One line describing how fixture `name` moved from `old` to `new`."""
+    if old is None:
+        return f"{name}: new"
+    if not name.endswith(".csv"):
+        return f"{name}: changed"
+    before, after = _csv_columns(old), _csv_columns(new)
+    if list(before) != list(after) or any(len(before[c]) != len(after[c]) for c in before):
+        return f"{name}: columns or rows changed"
+    changes = ", ".join(f"{c} {_largest_relative_change(before[c], after[c])}" for c in before)
+    return f"{name}: largest relative change by column: {changes}"
+
+
 def main(names: list[str]) -> int:
+    identical = []
     for run in names or list(RUNS):
         target = GOLDEN_DIR / run
+        old = golden_outputs(run) if target.is_dir() else {}
+        new = run_outputs(RUNS[run])
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
-        for name, data in run_outputs(RUNS[run]).items():
+        for name, data in new.items():
             (target / name).write_bytes(data)
-        print(f"wrote {target}", file=sys.stderr)
+            if old.get(name) == data:
+                identical.append(f"{run}/{name}")
+            else:
+                print(_drift(f"{run}/{name}", old.get(name), data), file=sys.stderr)
+        for name in sorted(set(old) - set(new)):
+            print(f"{run}/{name}: removed", file=sys.stderr)
+        print(f"wrote {target.relative_to(GOLDEN_DIR.parent.parent)}", file=sys.stderr)
+    print(f"byte-identical: {', '.join(identical) or 'none'}", file=sys.stderr)
     return 0
 
 

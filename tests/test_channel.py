@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from vccsat.channel import (
     SCENARIOS,
     DynamicScenario,
     ShadowingParams,
+    _rician,
     disk_mean_los_probability,
     elevation_angle,
     estimation_noise,
@@ -138,6 +141,30 @@ class TestChannelSampling:
         h = sample_channel_array(SCENARIOS["ILS"], 1, rng, size=(400_000,))[:, 0]
         se = np.sqrt(h.real.var(ddof=1) + h.imag.var(ddof=1)) / np.sqrt(h.size)
         assert abs(h.mean()) <= 3 * se
+
+    def test_phasor_precision(self):
+        # the float32 phasor of 1e6 uniform phases and of phases next to 0
+        # and 2*pi, fed to the sampler by a generator stub with no scatter
+        class Phases:
+            def uniform(self, low, high, size):
+                return theta.reshape(size)
+
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        tiny = np.arange(1000) * np.spacing(np.pi)
+        theta = np.concatenate(
+            [
+                np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 1_000_000),
+                tiny,
+                np.nextafter(2.0 * np.pi, 0.0) - tiny,
+                np.linspace(0.0, 1e-6, 1000),
+                2.0 * np.pi - np.linspace(1e-9, 1e-6, 1000),
+            ]
+        )
+        phasor = _rician(np.ones(theta.size), 0.0, 1, Phases())[:, 0]
+        assert np.abs(phasor - np.exp(1j * theta)).max() <= 4e-7
+        assert np.abs(np.abs(phasor) - 1.0).max() <= 1e-15
 
     def test_cross_element_uncorrelated(self):
         # shared Z but independent phases: E[h_l conj(h_k)] = 0 for l != k
@@ -339,40 +366,52 @@ class TestSubstreams:
 
 
 class TestDrawBitIdentity:
-    """The samplers add the LOS term by parts and scale the normals in place.
-    Written out here are the complex expressions they replace; at fixed
-    substreams both give the same bits.  If a NumPy upgrade makes np.cos or
-    np.sin differ from complex exp, this fails at the cause rather than at a
-    golden CSV.  The sizes span several LOS blocks and end in a partial one."""
+    """The samplers evaluate the LOS phasor in float32, add it by parts in
+    blocks and scale the normals in place.  Written out here are the plain
+    expressions they replace; at fixed substreams both give the same bits.
+    The sizes span several LOS blocks and end in a partial one.  The float64
+    `exp(1j * phases)` of stream version 1 is kept as `los_v1`, to pin that
+    only the phasor's rounding moved from it."""
 
     @staticmethod
     def complex_normals(scale, shape, rng):
         g = rng.standard_normal(shape + (2,))
         return scale * (g[..., 0] + 1j * g[..., 1])
 
+    @staticmethod
+    def los_v2(z, phases):
+        # float32 cos/sin, widened, with the unit-modulus rescale folded into z
+        p32 = phases.astype(np.float32)
+        c, s = np.cos(p32).astype(float), np.sin(p32).astype(float)
+        return z[..., None] / np.sqrt(c * c + s * s) * (c + 1j * s)
+
+    @staticmethod
+    def los_v1(z, phases):
+        return z[..., None] * np.exp(1j * phases)
+
     @classmethod
-    def static_reference(cls, params, n_antennas, rng, size):
+    def static_reference(cls, params, n_antennas, rng, size, los=los_v2):
         if params.omega == 0.0:
             z = np.zeros(size)
         else:
             z = np.sqrt(rng.gamma(shape=params.m, scale=params.omega / params.m, size=size))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=size + (n_antennas,))
         scatter = cls.complex_normals(np.sqrt(params.beta), size + (n_antennas,), rng)
-        return z[..., None] * np.exp(1j * phases) + scatter
+        return los(z, phases) + scatter
 
     @classmethod
-    def dynamic_reference(cls, scen, n_antennas, rng, size):
+    def dynamic_reference(cls, scen, n_antennas, rng, size, los=los_v2):
         radii = scen.radius_km * np.sqrt(rng.random(size))
         p = los_probability(scen.eta, elevation_angle(radii, scen.altitude_km))
         states = rng.random(size) < p
-        los, nlos = scen.los_params, scen.nlos_params
-        z_los = np.sqrt(rng.gamma(shape=los.m, scale=los.omega / los.m, size=size))
-        z_nlos = np.sqrt(rng.gamma(shape=nlos.m, scale=nlos.omega / nlos.m, size=size))
+        lp, nlp = scen.los_params, scen.nlos_params
+        z_los = np.sqrt(rng.gamma(shape=lp.m, scale=lp.omega / lp.m, size=size))
+        z_nlos = np.sqrt(rng.gamma(shape=nlp.m, scale=nlp.omega / nlp.m, size=size))
         z = np.where(states, z_los, z_nlos)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=size + (n_antennas,))
-        std = np.where(states, np.sqrt(los.beta), np.sqrt(nlos.beta))
+        std = np.where(states, np.sqrt(lp.beta), np.sqrt(nlp.beta))
         scatter = cls.complex_normals(std[..., None], size + (n_antennas,), rng)
-        return z[..., None] * np.exp(1j * phases) + scatter
+        return los(z, phases) + scatter
 
     @staticmethod
     def assert_same_bits(actual, expected):
@@ -412,3 +451,44 @@ class TestDrawBitIdentity:
         actual = scen.draw(substream(13, 0), 16, (500, 24))
         expected = self.dynamic_reference(scen, 16, substream(13, 0), (500, 24))
         self.assert_same_bits(actual, expected)
+
+    # the float32 cos/sin bits the golden outputs rest on; they belong to a
+    # NumPy build and CPU SIMD class, and a change there fails here first
+    TRIG_DIGEST = "916bd121b6bc108df726adb044fa882715f1c035ac57c3f39e258d184070f3a2"
+
+    def test_float32_trig_bits_pinned(self):
+        phases = substream(11, 0).uniform(0.0, 2.0 * np.pi, size=100_000).astype(np.float32)
+        digest = hashlib.sha256(np.cos(phases).tobytes() + np.sin(phases).tobytes()).hexdigest()
+        assert digest == self.TRIG_DIGEST
+
+    @classmethod
+    def assert_only_phasor_rounding_moved(cls, draw, draw_v1):
+        """`draw(rng)` is a sampler and `draw_v1(rng, los)` its reference with
+        the float64 phasor of stream version 1: from one substream both must
+        leave the generator in the same state, and differ by at most the
+        float32 phasor's 4e-7 times the LOS amplitude Z."""
+        amplitudes = []
+
+        def los_v1(z, phases):
+            amplitudes.append(z[..., None])
+            return cls.los_v1(z, phases)
+
+        rng, rng_v1 = substream(14, 0), substream(14, 0)
+        actual = draw(rng)
+        expected = draw_v1(rng_v1, los_v1)
+        assert rng.bit_generator.state == rng_v1.bit_generator.state
+        assert np.all(np.abs(actual - expected) <= 4e-7 * amplitudes[0] + 1e-14)
+
+    @pytest.mark.parametrize("params", [SCENARIOS["FHS"], SCENARIOS["ILS"]], ids=["FHS", "ILS"])
+    def test_static_stream_unchanged(self, params):
+        self.assert_only_phasor_rounding_moved(
+            lambda rng: sample_channel_array(params, 8, rng, size=(3000, 12)),
+            lambda rng, los: self.static_reference(params, 8, rng, (3000, 12), los),
+        )
+
+    def test_dynamic_stream_unchanged(self):
+        scen = DynamicScenario(radius_km=600.0)
+        self.assert_only_phasor_rounding_moved(
+            lambda rng: scen.draw(rng, 16, (500, 24)),
+            lambda rng, los: self.dynamic_reference(scen, 16, rng, (500, 24), los),
+        )

@@ -10,7 +10,7 @@ from vccsat.analysis import (
     desired_signal_moment,
     xi_moments_closed_form,
 )
-from vccsat.channel import SCENARIOS, DynamicScenario, substream
+from vccsat.channel import SCENARIOS, DynamicScenario, estimation_noise, substream
 from vccsat.experiments import (
     _STREAM_RATE,
     BATCH_TRIALS,
@@ -62,12 +62,6 @@ class TestDeterminism:
         b = mc_sum_rate(config, trials=2000, seed=6)
         assert a.mean != b.mean
 
-    def test_gain_deterministic_across_workers(self):
-        config = make_config()
-        a = mc_gain_table(config, [config.p_t], trials=2000, seed=3, workers=1)[0]
-        b = mc_gain_table(config, [config.p_t], trials=2000, seed=3, workers=3)[0]
-        assert a == b
-
 
 class TestEstimatorBehaviour:
     def test_vanishing_power_gives_vanishing_rate(self):
@@ -89,6 +83,18 @@ class TestEstimatorBehaviour:
             mc_moment_oracle(SCENARIOS["AS"], 0.125, 8, trials=5000)
         with pytest.raises(ValueError):
             mc_transmit_power(make_config(), trials=50)
+
+    @pytest.mark.parametrize("sigma_e2", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_error_variance_rejected(self, sigma_e2):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sigma_e2"):
+            estimation_noise((2,), sigma_e2, rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="sigma_e2"):
+            xi_moments_closed_form(SCENARIOS["AS"], sigma_e2, 8)
+        with pytest.raises(ValueError, match="sigma_e2"):
+            mc_moment_oracle(SCENARIOS["AS"], sigma_e2, 8, trials=10_000)
 
     def test_rate_matches_closed_form_at_operating_point(self):
         # moderate-SNR cell where the log-of-means approximation is tight
