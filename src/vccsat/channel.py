@@ -21,8 +21,8 @@ of theta_l.
 All samplers are pure given an explicit numpy Generator; use `substream` to
 derive named, order-independent generators from one master seed.  The bits
 a seed gives are named by `STREAM_VERSION`, which every seeded manifest
-records: 1 was the float64 libm phasor, 2 is the float32 one, with the same
-random draws.
+records: 1 was the float64 libm phasor, 2 the float32 one, with the same
+random draws; 3 is the power contract conditioned on the estimate, same draws.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # version of the numbers a seed produces; bumped by any change that moves them
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -104,6 +105,8 @@ def parse_config_file(path: str | Path) -> dict:
         key = key.strip().lower()
         if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         kind = _KEYS[key].type
         try:
             values[key] = kind(text.strip())
@@ -231,6 +234,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     a2 = analysis.alpha2_closed_form(config)
     moments = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
     rate = analysis.avg_sum_rate_closed_form(config)
+    # computed before the report, so a bad q cap fails with nothing printed
+    caps = (values["q_max"], values["q_max_baseline"])
+    res = analysis.effective_gain_closed_form(config, *caps) if args.gain else None
     mode = "baseline (cacheless, G=1)" if config.g_groups == 1 else f"cache-aided (G={config.g_groups})"
     print(f"mode            : {mode}")
     print(f"snr_ave_db      : {snr_ave_db(config.p_t, config.shadowing):.4f}")
@@ -247,8 +253,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "xi2": moments.xi2,
         "avg_sum_rate": rate,
     }
-    if args.gain:
-        res = analysis.effective_gain_closed_form(config, values["q_max"], values["q_max_baseline"])
+    if res is not None:
         print(
             f"effective_gain  : {res.gain:.6g} "
             f"(Q*={res.best_q_vcc}, Q'*={res.best_q_baseline}, "
@@ -562,7 +567,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (`| head`): end quietly, as SIGPIPE
+        # would, and point stdout at devnull so the exit-time flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,8 @@ from vccsat.caching import (
 from vccsat.channel import SCENARIOS
 from vccsat.cli import FIGURE_SCHEMA, main, parse_config_file
 from vccsat.linkphy import SystemConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -45,6 +50,15 @@ class TestConfigFile:
         path.write_text("antennas = 8\n")
         with pytest.raises(ValueError, match="unknown config key 'antennas'"):
             parse_config_file(path)
+
+    def test_duplicate_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("l = 8\nL = 16\n")
+        with pytest.raises(ValueError, match="run.cfg:2: duplicate config key 'l'"):
+            parse_config_file(path)
+        code, out, err = run(capsys, "analyze", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert "duplicate config key" in err
 
     def test_bad_value_named_in_error(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -162,6 +176,12 @@ class TestAnalyze:
         assert code == 2
         assert "Q must be >= 2" in err
 
+    @pytest.mark.parametrize("flags", [["--q-max", "1"], ["--q-max-baseline", "11"]])
+    def test_bad_q_cap_rejected_before_any_output(self, capsys, flags):
+        code, out, err = run(capsys, "analyze", "--gain", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q_max must be in [2, 10]")
+
     def test_constraint_violation_diagnostic(self, capsys):
         code, _, err = run(capsys, "analyze", "--T", "100")
         assert code == 2
@@ -217,6 +237,28 @@ class TestOSError:
         assert code == 2
         assert err.startswith("error:")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+class TestBrokenPipe:
+    # unbuffered, the first print fails; buffered, the final flush does
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        # the pipe's read end is closed before the command starts, as when
+        # `| head` has already exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "vccsat.cli", "analyze", "--gain"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestSimulate:

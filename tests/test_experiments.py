@@ -10,7 +10,7 @@ from vccsat.analysis import (
     desired_signal_moment,
     xi_moments_closed_form,
 )
-from vccsat.channel import SCENARIOS, DynamicScenario, estimation_noise, substream
+from vccsat.channel import SCENARIOS, DynamicScenario, ShadowingParams, estimation_noise, substream
 from vccsat.experiments import (
     _STREAM_RATE,
     BATCH_TRIALS,
@@ -266,6 +266,19 @@ class TestOracleSuite:
         } <= names
         failed = [c for c in checks if not c.passed]
         assert not failed, [f"{c.name}: {c.detail}" for c in failed]
+
+    def test_power_contract_fails_without_estimation_error_power(self, monkeypatch):
+        # alpha^2 from the true-channel element power (no sigma_e2) overdrives
+        # the transmitter by 11%, which the conditioned contract must catch
+        # at validate's operating point and benchmark trial count
+        monkeypatch.setattr(
+            ShadowingParams, "element_power", lambda self, sigma_e2=0.0: self.mean_element_power
+        )
+        config = make_config(q_mux=8, p_t=10**1.81)
+        checks = oracle_suite(config, rate_trials=8192, moment_trials=10_000, seed=0)
+        status = {c.name: c.passed for c in checks}
+        assert status["power-contract-vcc"] is False
+        assert status["power-contract-baseline"] is False
 
     def test_mixture_rejected_with_value_error(self):
         config = make_config(shadowing=DynamicScenario())

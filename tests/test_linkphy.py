@@ -89,6 +89,19 @@ class TestMfPrecoder:
         rhs = np.linalg.norm(h) ** 2 + h @ err.conj()
         assert lhs == pytest.approx(rhs)
 
+    def test_symbol_average_power_is_conditioned_on_estimate(self):
+        # E_s ||x||^2 = alpha^2 sum_k ||hhat_k||^2 for one fixed estimate
+        # block: the identity the engine's power contract samples directly
+        config = make_config(g_groups=2, q_mux=3, l_antennas=4)
+        rng = substream(0, 3)
+        _, h_hat = sample_block(config, rng)
+        powers = []
+        for _ in range(20_000):
+            x = transmit_vector(h_hat, 0.4, unit_symbols(rng, (2, 3)))
+            powers.append(np.vdot(x, x).real)
+        mean, se = np.mean(powers), np.std(powers, ddof=1) / np.sqrt(len(powers))
+        assert abs(mean - 0.4 * np.vdot(h_hat, h_hat).real) <= 4 * se
+
 
 class TestSinr:
     def test_single_user_has_no_interference(self):
