@@ -277,6 +277,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "Q must be >= 2 for gain comparisons (precoding-free operation is excluded)"
         )
     seed, trials, workers = values["seed"], values["trials"], values["workers"]
+    caps = (values["q_max"], values["q_max_baseline"])
+    # computed before any Monte Carlo, so a bad q cap fails before the draws
+    cf_gain = analysis.effective_gain_closed_form(config, *caps) if args.gain else None
     est = experiments.mc_sum_rate(config, trials, seed, workers)
     cf = analysis.avg_sum_rate_closed_form(config)
     row = {
@@ -295,10 +298,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     columns = list(row)
     results: dict = {"rate": row}
     if args.gain:
-        res = experiments.mc_gain_table(
-            config, [config.p_t], values["q_max"], values["q_max_baseline"], trials, seed, workers
-        )[0]
-        cf_gain = analysis.effective_gain_closed_form(config, values["q_max"], values["q_max_baseline"])
+        res = experiments.mc_gain_table(config, [config.p_t], *caps, trials, seed, workers)[0]
         row.update(
             {
                 "Q_best_vcc": res.best_q_vcc,

@@ -6,6 +6,13 @@ order, so results are bit-identical for a given seed regardless of how many
 workers evaluate the batches.  Channel draws are reused across a q grid (the
 draw width is the largest q) and across transmit-power grids (power only
 rescales alpha^2), which also pins the Q argmax to one set of realisations.
+
+Within a batch the CSIT estimates exist only per chunk of `CHUNK_TRIALS`
+trials: the channel is drawn for the whole batch, then each chunk's
+estimation noise is drawn just before the chunk is evaluated.  The noise is
+the last draw of a batch and `standard_normal` fills trials in order, so the
+chunks read the same normals as one batch-sized draw; per-trial values are
+reduced once per batch, so the chunk size moves no output bit.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ from .channel import (
 from .linkphy import SystemConfig
 
 BATCH_TRIALS = 4096  # fixed: changing it changes the draw stream
+# trials per estimate chunk: bounds a batch's estimate and Gram arrays; any
+# size gives the same bits
+CHUNK_TRIALS = 512
 
 # stream tags keep the independent estimators on disjoint substreams
 _STREAM_RATE = 0
@@ -80,15 +90,25 @@ def _mean_se(sums: np.ndarray, sumsq: np.ndarray, n: int) -> tuple[np.ndarray, n
 
 def _draw(config: SystemConfig, q_width: int):
     """Channel draw of `config.shadowing` for G groups of q_width users, with
-    the CSIT estimates; either array is shaped (n, G, q_width, L)."""
+    the CSIT estimates.  `draw(rng, n)` draws the channels of all n trials,
+    then yields `(offset, h, h_hat)` per chunk of `CHUNK_TRIALS` trials, both
+    arrays shaped (chunk, G, q_width, L); `h` is a view of the batch's array
+    and `h_hat` a fresh array that the caller may overwrite.
+
+    Each chunk's estimation noise is drawn only when the chunk is asked for,
+    so no batch-sized estimate array exists.  The noise is the last draw from
+    `rng` and fills trials in order, so chunked draws give the same bits as
+    one draw of the whole batch."""
     n_users = config.g_groups * q_width
     shape = (config.g_groups, q_width, config.l_antennas)
 
     def draw(rng, n):
-        h = config.shadowing.draw(rng, config.l_antennas, (n, n_users))
-        h_hat = estimation_noise(h.shape, config.sigma_e2, rng)
-        h_hat += h
-        return h.reshape((n,) + shape), h_hat.reshape((n,) + shape)
+        h = config.shadowing.draw(rng, config.l_antennas, (n, n_users)).reshape((n,) + shape)
+        for a in range(0, n, CHUNK_TRIALS):
+            h_chunk = h[a : a + CHUNK_TRIALS]
+            h_hat = estimation_noise(h_chunk.shape, config.sigma_e2, rng)
+            h_hat += h_chunk
+            yield a, h_chunk, h_hat
 
     return draw
 
@@ -115,32 +135,35 @@ def _rate_table_raw(
         for pi, pt in enumerate(pt_values):
             alpha2[pi, qi] = analysis.alpha2_closed_form(replace(cfg_q, p_t=pt))
     draw = _draw(config, max(q_grid))
+    # alpha2 of q index qi for every power, shaped to broadcast over (P, chunk, G, q)
+    alpha2_b = alpha2[:, :, None, None, None]
 
     def worker(j: int, n: int) -> np.ndarray:
         rng = substream(seed, stream, j)
-        h, h_hat = draw(rng, n)
-        # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul; the
-        # estimates are conjugated in place, as nothing else reads them
-        inner = h @ np.conjugate(h_hat, out=h_hat).swapaxes(-1, -2)
-        power = inner.real**2 + inner.imag**2
-        out = np.empty((len(pt_values), len(q_grid), 2))
-        for qi, q in enumerate(q_grid):
-            pq = power[:, :, :q, :q]
-            signal = np.diagonal(pq, axis1=2, axis2=3).copy()
-            interference = pq.sum(axis=3) - signal
-            sinr, denominator = np.empty_like(signal), np.empty_like(signal)
-            for pi in range(len(pt_values)):
-                # sinr = a2 * signal / (1 + a2 * interference), into reused buffers
-                a2 = alpha2[pi, qi]
-                np.multiply(a2, interference, out=denominator)
+        # per-trial rates of the batch, reduced once at the end, so the
+        # summation order does not depend on the chunk size
+        rates = np.empty((len(pt_values), len(q_grid), n))
+        for a, h, h_hat in draw(rng, n):
+            trials_c = slice(a, a + len(h))
+            # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul; the
+            # estimates are conjugated in place, as nothing else reads them
+            inner = h @ np.conjugate(h_hat, out=h_hat).swapaxes(-1, -2)
+            power = inner.real**2 + inner.imag**2
+            for qi, q in enumerate(q_grid):
+                pq = power[:, :, :q, :q]
+                signal = np.diagonal(pq, axis1=2, axis2=3).copy()
+                interference = pq.sum(axis=3) - signal
+                # sinr = a2 * signal / (1 + a2 * interference) for every power
+                # at once: a few large ufunc calls per chunk and q, not a few
+                # per power, so two workers seldom wait on each other for the GIL
+                a2 = alpha2_b[:, qi]
+                denominator = a2 * interference
                 np.add(1.0, denominator, out=denominator)
-                np.multiply(a2, signal, out=sinr)
+                sinr = a2 * signal
                 np.divide(sinr, denominator, out=sinr)
                 np.log1p(sinr, out=sinr)
-                rates = xi[qi] * _INV_LN2 * sinr.sum(axis=(1, 2))
-                out[pi, qi, 0] = rates.sum()
-                out[pi, qi, 1] = (rates * rates).sum()
-        return out
+                rates[:, qi, trials_c] = xi[qi] * _INV_LN2 * sinr.sum(axis=(2, 3))
+        return np.stack([rates.sum(axis=2), (rates * rates).sum(axis=2)], axis=-1)
 
     totals = _run_batches(worker, trials, workers)
     return _mean_se(totals[..., 0], totals[..., 1], trials)
@@ -267,10 +290,12 @@ def mc_transmit_power(
 
     def worker(j: int, n: int) -> np.ndarray:
         rng = substream(seed, _STREAM_POWER, j)
-        _, h_hat = draw(rng, n)
-        # the real and imaginary parts of each trial's estimates, as a view
-        parts = h_hat.reshape(n, -1).view(np.float64)
-        pw = alpha2 * np.einsum("ni,ni->n", parts, parts)
+        pw = np.empty(n)
+        for a, _, h_hat in draw(rng, n):
+            # the real and imaginary parts of each trial's estimates, as a view
+            parts = h_hat.reshape(len(h_hat), -1).view(np.float64)
+            pw[a : a + len(h_hat)] = np.einsum("ni,ni->n", parts, parts)
+        pw *= alpha2
         return np.array([pw.sum(), (pw * pw).sum()])
 
     totals = _run_batches(worker, trials, workers)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vccsat import experiments
 from vccsat.analysis import alpha2_closed_form, avg_sum_rate_closed_form
 from vccsat.caching import (
     Assignment,
@@ -295,6 +296,19 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--Q", "1", "--gain", "--trials", "1000")
         assert code == 2
         assert "Q must be >= 2" in err
+
+    @pytest.mark.parametrize("flags", [["--q-max", "1"], ["--q-max-baseline", "11"]])
+    def test_bad_q_cap_rejected_before_monte_carlo(self, capsys, tmp_path, monkeypatch, flags):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("mc_sum_rate ran before the q caps were checked")
+
+        monkeypatch.setattr(experiments, "mc_sum_rate", no_monte_carlo)
+        code, out, err = run(
+            capsys, "simulate", "--gain", *flags, "--trials", "100000", "--out", str(tmp_path / "run")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q_max must be in [2, 10]")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, capsys, tmp_path, workers):

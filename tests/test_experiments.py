@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from reference import effective_sum_rate, sample_block
+from vccsat import experiments
 from vccsat.analysis import (
     alpha2_closed_form,
     avg_sum_rate_closed_form,
@@ -14,6 +16,7 @@ from vccsat.channel import SCENARIOS, DynamicScenario, ShadowingParams, estimati
 from vccsat.experiments import (
     _STREAM_RATE,
     BATCH_TRIALS,
+    CHUNK_TRIALS,
     _rate_table_raw,
     mc_gain_table,
     mc_moment_oracle,
@@ -56,11 +59,61 @@ class TestDeterminism:
         a, b, c = (estimate(trials, workers) for workers in (1, 2, 4))
         assert a == b == c
 
+    @pytest.mark.parametrize(
+        "channel",
+        [{}, {"sigma_e2": 0.0}, {"shadowing": DynamicScenario()}],
+        ids=["as", "perfect-csit", "mixture"],
+    )
+    def test_chunk_size_does_not_change_results(self, monkeypatch, channel):
+        # chunks of one trial, chunks that divide no batch, the default, and
+        # one chunk per batch; the trial count leaves a partial batch
+        config = make_config(l_antennas=2, g_groups=2, q_mux=3, **channel)
+        trials = BATCH_TRIALS + 17
+        results = []
+        for chunk in (1, 7, 333, CHUNK_TRIALS, BATCH_TRIALS):
+            monkeypatch.setattr(experiments, "CHUNK_TRIALS", chunk)
+            results.append(
+                (
+                    mc_sum_rate(config, trials, 5),
+                    mc_transmit_power(config, trials, 5),
+                    mc_gain_table(config, [1.0, 10.0], 3, 3, trials, 5),
+                )
+            )
+        assert all(r == results[0] for r in results[1:])
+
     def test_seed_changes_results(self):
         config = make_config()
         a = mc_sum_rate(config, trials=2000, seed=5)
         b = mc_sum_rate(config, trials=2000, seed=6)
         assert a.mean != b.mean
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize(
+        "config",
+        [make_config(q_mux=8), make_config(l_antennas=16, q_mux=8, shadowing=DynamicScenario())],
+        ids=["as-l8", "mixture-l16"],
+    )
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda config: _rate_table_raw(config, range(2, 9), [1.0, 100.0], BATCH_TRIALS, 0, 1, _STREAM_RATE),
+            lambda config: mc_transmit_power(config, BATCH_TRIALS, 0, 1),
+        ],
+        ids=["rate-table", "transmit-power"],
+    )
+    def test_batch_peak_below_1_9x_channel_array(self, config, estimate):
+        # the channel array of one batch, 4096 x G x 8 x L complex128, is
+        # the only batch-sized array: estimates and Gram terms exist per
+        # chunk, so a batch-sized one would raise the peak to 2-4x
+        h_nbytes = BATCH_TRIALS * config.g_groups * 8 * config.l_antennas * 16
+        tracemalloc.start()
+        try:
+            estimate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.9 * h_nbytes, peak / h_nbytes
 
 
 class TestEstimatorBehaviour:
