@@ -1,11 +1,13 @@
 """Monte Carlo engine: rate/gain estimation, moment oracles, power sweep.
 
-Trials are split into fixed-size batches; batch j draws from the named
-substream (seed, stream-tag, j) and partial sums are combined in batch-index
-order, so results are bit-identical for a given seed regardless of how many
-workers evaluate the batches.  Channel draws are reused across a q grid (the
-draw width is the largest q) and across transmit-power grids (power only
-rescales alpha^2), which also pins the Q argmax to one set of realisations.
+Every Monte Carlo mean goes through one batch-and-reduce function,
+`_estimate`, to which an estimator gives only its per-trial values.  Batch j
+of the fixed-size batches draws from the named substream (seed, stream-tag,
+j) and partial sums are combined in batch-index order, so results are
+bit-identical for a given seed at any worker count.  Channel draws are reused
+across a q grid (the draw width is the largest q) and across transmit-power
+grids (power only rescales alpha^2), which also pins the Q argmax to one set
+of realisations.
 
 Within a batch the CSIT estimates exist only per chunk of `CHUNK_TRIALS`
 trials: the channel is drawn for the whole batch, then each chunk's
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,63 +56,53 @@ class Estimate(NamedTuple):
     std_error: float
 
 
-def _batches(trials: int) -> list[tuple[int, int]]:
-    out = []
-    j, left = 0, trials
-    while left > 0:
-        n = min(BATCH_TRIALS, left)
-        out.append((j, n))
-        j += 1
-        left -= n
-    return out
+def _estimate(
+    samples: Callable[[np.random.Generator, int], np.ndarray], trials: int, seed: int, stream: int, workers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over `trials` trials of `samples(rng, n)`,
+    which returns the values of n trials along its last axis.
 
-
-def _run_batches(worker: Callable[[int, int], np.ndarray], trials: int, workers: int) -> np.ndarray:
-    """Evaluate batches (possibly concurrently) and reduce partial sums in
-    fixed batch order."""
+    Batch j of `BATCH_TRIALS` trials draws from `substream(seed, stream, j)`,
+    on a pool of `workers` threads if more than one.  Each batch's sum and
+    sum of squares are added in batch order, so the result does not depend
+    on the worker count."""
+    if trials < 100:
+        raise ValueError(f"trials must be >= 100, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    batches = _batches(trials)
+
+    def batch(j: int) -> np.ndarray:
+        x = samples(substream(seed, stream, j), min(BATCH_TRIALS, trials - j * BATCH_TRIALS))
+        return np.stack([x.sum(axis=-1), (x * x).sum(axis=-1)])
+
+    batches = range(-(-trials // BATCH_TRIALS))
     if workers == 1:
-        parts = [worker(j, n) for j, n in batches]
+        parts = [batch(j) for j in batches]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda jn: worker(*jn), batches))
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
-    return total
+            parts = list(pool.map(batch, batches))
+    sums, sumsq = sum(parts[1:], parts[0])
+    mean = sums / trials
+    var = np.maximum(sumsq - trials * mean**2, 0.0) / (trials - 1)
+    return mean, np.sqrt(var / trials)
 
 
-def _mean_se(sums: np.ndarray, sumsq: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    mean = sums / n
-    var = np.maximum(sumsq - n * mean**2, 0.0) / (n - 1)
-    return mean, np.sqrt(var / n)
-
-
-def _draw(config: SystemConfig, q_width: int):
-    """Channel draw of `config.shadowing` for G groups of q_width users, with
-    the CSIT estimates.  `draw(rng, n)` draws the channels of all n trials,
-    then yields `(offset, h, h_hat)` per chunk of `CHUNK_TRIALS` trials, both
-    arrays shaped (chunk, G, q_width, L); `h` is a view of the batch's array
-    and `h_hat` a fresh array that the caller may overwrite.
-
-    Each chunk's estimation noise is drawn only when the chunk is asked for,
-    so no batch-sized estimate array exists.  The noise is the last draw from
-    `rng` and fills trials in order, so chunked draws give the same bits as
-    one draw of the whole batch."""
-    n_users = config.g_groups * q_width
-    shape = (config.g_groups, q_width, config.l_antennas)
-
-    def draw(rng, n):
-        h = config.shadowing.draw(rng, config.l_antennas, (n, n_users)).reshape((n,) + shape)
-        for a in range(0, n, CHUNK_TRIALS):
-            h_chunk = h[a : a + CHUNK_TRIALS]
-            h_hat = estimation_noise(h_chunk.shape, config.sigma_e2, rng)
-            h_hat += h_chunk
-            yield a, h_chunk, h_hat
-
-    return draw
+def _chunks(
+    config: SystemConfig, q_width: int, rng: np.random.Generator, n: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Draw `config.shadowing` for n trials of G groups of q_width users, then
+    yield `(offset, h, h_hat)` per chunk of `CHUNK_TRIALS` trials, both shaped
+    (chunk, G, q_width, L): `h` a view of the batch's channels and `h_hat` a
+    fresh CSIT estimate array that the caller may overwrite.  Each chunk's
+    estimation noise is drawn only when the chunk is asked for, which gives
+    the bits of one batch-sized draw (see the module docstring)."""
+    shape = (n, config.g_groups, q_width, config.l_antennas)
+    h = config.shadowing.draw(rng, config.l_antennas, (n, config.g_groups * q_width)).reshape(shape)
+    for a in range(0, n, CHUNK_TRIALS):
+        h_chunk = h[a : a + CHUNK_TRIALS]
+        h_hat = estimation_noise(h_chunk.shape, config.sigma_e2, rng)
+        h_hat += h_chunk
+        yield a, h_chunk, h_hat
 
 
 def _rate_table_raw(
@@ -126,6 +118,8 @@ def _rate_table_raw(
     sharing one set of channel draws of width max(q_grid) per batch."""
     q_grid = list(q_grid)
     pt_values = [float(p) for p in pt_values]
+    if not q_grid or not pt_values:
+        raise ValueError(f"rate grid must be nonempty, got {len(pt_values)} powers and {len(q_grid)} q values")
     # validate every cell up front; alpha2 and xi depend on (pt, q) only
     alpha2 = np.empty((len(pt_values), len(q_grid)))
     xi = np.empty(len(q_grid))
@@ -134,16 +128,14 @@ def _rate_table_raw(
         xi[qi] = cfg_q.xi
         for pi, pt in enumerate(pt_values):
             alpha2[pi, qi] = analysis.alpha2_closed_form(replace(cfg_q, p_t=pt))
-    draw = _draw(config, max(q_grid))
     # alpha2 of q index qi for every power, shaped to broadcast over (P, chunk, G, q)
     alpha2_b = alpha2[:, :, None, None, None]
 
-    def worker(j: int, n: int) -> np.ndarray:
-        rng = substream(seed, stream, j)
-        # per-trial rates of the batch, reduced once at the end, so the
+    def samples(rng: np.random.Generator, n: int) -> np.ndarray:
+        # per-trial rates of the batch, reduced once by `_estimate`, so the
         # summation order does not depend on the chunk size
         rates = np.empty((len(pt_values), len(q_grid), n))
-        for a, h, h_hat in draw(rng, n):
+        for a, h, h_hat in _chunks(config, max(q_grid), rng, n):
             trials_c = slice(a, a + len(h))
             # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul; the
             # estimates are conjugated in place, as nothing else reads them
@@ -163,10 +155,9 @@ def _rate_table_raw(
                 np.divide(sinr, denominator, out=sinr)
                 np.log1p(sinr, out=sinr)
                 rates[:, qi, trials_c] = xi[qi] * _INV_LN2 * sinr.sum(axis=(2, 3))
-        return np.stack([rates.sum(axis=2), (rates * rates).sum(axis=2)], axis=-1)
+        return rates
 
-    totals = _run_batches(worker, trials, workers)
-    return _mean_se(totals[..., 0], totals[..., 1], trials)
+    return _estimate(samples, trials, seed, stream, workers)
 
 
 def mc_sum_rate(
@@ -177,8 +168,6 @@ def mc_sum_rate(
 ) -> Estimate:
     """Monte Carlo mean of the effective sum rate at the given operating
     point, using the statistical power factor of the closed-form analysis."""
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
     means, ses = _rate_table_raw(config, [config.q_mux], [config.p_t], trials, seed, workers, _STREAM_RATE)
     return Estimate(float(means[0, 0]), float(ses[0, 0]))
 
@@ -197,8 +186,6 @@ def mc_gain_table(
     The same seed (hence the same channel realisations) is shared by every
     grid point of one side, so the argmax over q is not noise-driven.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
     qs_vcc = list(analysis.gain_q_grid(q_max))
     qs_base = list(analysis.gain_q_grid(q_max_baseline))
     v_mean, v_se = _rate_table_raw(config, qs_vcc, pt_values, trials, seed, workers, _STREAM_RATE)
@@ -247,8 +234,7 @@ def mc_moment_oracle(
     if not 0 <= sigma_e2 < math.inf:
         raise ValueError(f"sigma_e2 must be finite and >= 0, got {sigma_e2}")
 
-    def worker(j: int, n: int) -> np.ndarray:
-        rng = substream(seed, _STREAM_MOMENTS, j)
+    def samples(rng: np.random.Generator, n: int) -> np.ndarray:
         h = sample_channel_array(params, l_antennas, rng, size=(n,))
         h_hat_own = estimation_noise(h.shape, sigma_e2, rng)
         h_hat_own += h
@@ -261,16 +247,9 @@ def mc_moment_oracle(
         desired_s = own.real**2 + own.imag**2
         cross = np.einsum("nl,nl->n", h, h_hat_other.conj())
         xi2_s = cross.real**2 + cross.imag**2
-        return np.array(
-            [
-                [xi1_s.sum(), (xi1_s * xi1_s).sum()],
-                [xi2_s.sum(), (xi2_s * xi2_s).sum()],
-                [desired_s.sum(), (desired_s * desired_s).sum()],
-            ]
-        )
+        return np.stack([xi1_s, xi2_s, desired_s])
 
-    totals = _run_batches(worker, trials, workers)
-    means, ses = _mean_se(totals[:, 0], totals[:, 1], trials)
+    means, ses = _estimate(samples, trials, seed, _STREAM_MOMENTS, workers)
     return tuple(Estimate(float(m), float(se)) for m, se in zip(means, ses))
 
 
@@ -283,24 +262,19 @@ def mc_transmit_power(
     """Empirical E[||x||^2] of the matched-filter signal, conditioned on the
     channel estimate: for unit-power symbols E_s||x||^2 = alpha^2 sum_k
     ||hhat_k||^2 exactly, which must average to P_t under the power factor."""
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
     alpha2 = analysis.alpha2_closed_form(config)
-    draw = _draw(config, config.q_mux)
 
-    def worker(j: int, n: int) -> np.ndarray:
-        rng = substream(seed, _STREAM_POWER, j)
+    def samples(rng: np.random.Generator, n: int) -> np.ndarray:
         pw = np.empty(n)
-        for a, _, h_hat in draw(rng, n):
+        for a, _, h_hat in _chunks(config, config.q_mux, rng, n):
             # the real and imaginary parts of each trial's estimates, as a view
             parts = h_hat.reshape(len(h_hat), -1).view(np.float64)
             pw[a : a + len(h_hat)] = np.einsum("ni,ni->n", parts, parts)
         pw *= alpha2
-        return np.array([pw.sum(), (pw * pw).sum()])
+        return pw
 
-    totals = _run_batches(worker, trials, workers)
-    means, ses = _mean_se(totals[0], totals[1], trials)
-    return Estimate(float(means), float(ses))
+    mean, se = _estimate(samples, trials, seed, _STREAM_POWER, workers)
+    return Estimate(float(mean), float(se))
 
 
 # ---------------------------------------------------------------------------

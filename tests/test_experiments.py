@@ -17,6 +17,7 @@ from vccsat.experiments import (
     _STREAM_RATE,
     BATCH_TRIALS,
     CHUNK_TRIALS,
+    _estimate,
     _rate_table_raw,
     mc_gain_table,
     mc_moment_oracle,
@@ -43,17 +44,73 @@ def make_config(**kwargs):
     return SystemConfig(**base)
 
 
-class TestDeterminism:
+# every public Monte Carlo estimator, as estimate(trials, workers)
+ESTIMATORS = [
+    pytest.param(lambda trials, workers: mc_sum_rate(make_config(), trials, 5, workers), id="mc_sum_rate"),
+    pytest.param(lambda trials, workers: mc_transmit_power(make_config(), trials, 5, workers), id="mc_transmit_power"),
+    pytest.param(
+        lambda trials, workers: mc_moment_oracle(SCENARIOS["AS"], 0.125, 8, trials, 5, workers), id="mc_moment_oracle"
+    ),
+    pytest.param(
+        lambda trials, workers: mc_gain_table(make_config(), [1.0, 10.0], 4, 4, trials, 5, workers), id="mc_gain_table"
+    ),
+]
+
+
+def _no_draw(*args):
+    raise AssertionError("a substream was drawn")
+
+
+class TestEstimate:
+    @staticmethod
+    def samples(rng, n):
+        # two rows of per-trial values with different means and spreads
+        return rng.standard_normal((2, n)) * [[1.0], [3.0]] + [[5.0], [-2.0]]
+
+    @pytest.mark.parametrize("trials", [BATCH_TRIALS - 1, 2 * BATCH_TRIALS, 2 * BATCH_TRIALS + 17])
+    def test_matches_mean_and_std_of_concatenated_batches(self, trials):
+        sizes = [min(BATCH_TRIALS, trials - a) for a in range(0, trials, BATCH_TRIALS)]
+        x = np.concatenate([self.samples(substream(3, 9, j), n) for j, n in enumerate(sizes)], axis=-1)
+        mean, se = _estimate(self.samples, trials, 3, 9, 1)
+        np.testing.assert_allclose(mean, x.mean(axis=-1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(se, x.std(axis=-1, ddof=1) / np.sqrt(trials), rtol=1e-12, atol=0)
+        mean3, se3 = _estimate(self.samples, trials, 3, 9, 3)
+        assert (mean3 == mean).all() and (se3 == se).all()
+
+    def test_constant_samples_give_zero_std_error(self):
+        # for these values sumsq - n*mean^2 rounds below zero, so the zero
+        # comes from the clamp
+        x = np.full(BATCH_TRIALS - 1, 0.1)
+        assert (x * x).sum() - x.size * (x.sum() / x.size) ** 2 < 0
+        mean, se = _estimate(lambda rng, n: np.full(n, 0.1), x.size, 0, 0, 1)
+        assert mean == pytest.approx(0.1, rel=1e-12)
+        assert se == 0.0
+
+    @pytest.mark.parametrize("estimate", ESTIMATORS)
+    def test_floors_rejected_before_any_draw(self, monkeypatch, estimate):
+        monkeypatch.setattr(experiments, "substream", _no_draw)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate(10_000, 0)
+        with pytest.raises(ValueError, match="trials must be >="):
+            estimate(50, 1)
+
     @pytest.mark.parametrize(
-        "estimate",
+        "call",
         [
-            lambda trials, workers: mc_sum_rate(make_config(), trials, 5, workers),
-            lambda trials, workers: mc_transmit_power(make_config(), trials, 5, workers),
-            lambda trials, workers: mc_moment_oracle(SCENARIOS["AS"], 0.125, 8, trials, 5, workers),
-            lambda trials, workers: mc_gain_table(make_config(), [1.0, 10.0], 4, 4, trials, 5, workers),
+            lambda: _rate_table_raw(make_config(), [2, 4], [], 8192, 0, 1, _STREAM_RATE),
+            lambda: _rate_table_raw(make_config(), [], [1.0], 8192, 0, 1, _STREAM_RATE),
+            lambda: mc_gain_table(make_config(), [], trials=8192),
         ],
-        ids=["mc_sum_rate", "mc_transmit_power", "mc_moment_oracle", "mc_gain_table"],
+        ids=["no-power", "no-q", "gain-table-no-power"],
     )
+    def test_empty_grid_rejected_before_any_draw(self, monkeypatch, call):
+        monkeypatch.setattr(experiments, "substream", _no_draw)
+        with pytest.raises(ValueError, match="rate grid must be nonempty"):
+            call()
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("estimate", ESTIMATORS)
     def test_worker_count_does_not_change_results(self, estimate):
         trials = 3 * BATCH_TRIALS + 17
         a, b, c = (estimate(trials, workers) for workers in (1, 2, 4))
