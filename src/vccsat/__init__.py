@@ -10,10 +10,9 @@ __version__ = "0.1.0"
 
 from .analysis import (
     GainResult,
-    MomentPair,
+    Moments,
     alpha2_closed_form,
     avg_sum_rate_closed_form,
-    desired_signal_moment,
     effective_gain_closed_form,
     intra_interference_term,
     xi_moments_closed_form,

@@ -15,19 +15,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .channel import ShadowingParams
-from .linkphy import SystemConfig
+from .linkphy import MAX_Q, SystemConfig
 
 
-class MomentPair(NamedTuple):
-    """xi1 = E[||h||^4]; xi2 = E[|h^T hhat'^*|^2] for two distinct users."""
+class Moments(NamedTuple):
+    """xi1 = E[||h||^4]; xi2 = E[|h^T hhat'^*|^2] for two distinct users;
+    desired = E[|h^T hhat^*|^2] for a user's own estimate.  The closed forms
+    are floats, the Monte Carlo oracle's are `experiments.Estimate`s."""
 
-    xi1: float
-    xi2: float
+    xi1: Any
+    xi2: Any
+    desired: Any
 
 
 @dataclass(frozen=True)
@@ -50,25 +53,27 @@ def alpha2_closed_form(config: SystemConfig) -> float:
 
     Setting g_groups = 1 gives the cacheless baseline factor.  For the
     LOS/NLOS mixture the element power is its position average, which keeps
-    E[||x||^2] = P_t over channels, states and positions.
+    E[||x||^2] = P_t over channels, states and positions.  A channel of zero
+    mean power is rejected even when the CSIT error keeps the estimate's
+    power positive: every rate and SNR of it would be zero.
     """
-    denom = (
+    if not config.shadowing.element_power() > 0:
+        raise ValueError("degenerate parameters: mean channel power is zero")
+    return config.p_t / (
         config.g_groups
         * config.q_mux
         * config.l_antennas
         * config.shadowing.element_power(config.sigma_e2)
     )
-    if denom <= 0:
-        raise ValueError("degenerate parameters: mean channel power is zero")
-    return config.p_t / denom
 
 
-def xi_moments_closed_form(params: ShadowingParams, sigma_e2: float, l_antennas: int) -> MomentPair:
+def xi_moments_closed_form(params: ShadowingParams, sigma_e2: float, l_antennas: int) -> Moments:
     """Second/fourth-order channel moments.
 
     xi1 = L[(4b^2 + 4b*w + w^2/m) + (2b + w)^2]
           + L(L-1)[(1 + 1/m) w^2 + 4b*w + 4b^2]
     xi2 = L (2b + w) (2b + sigma_e2 + w)
+    desired = xi1 + sigma_e2 L (2b + w)
 
     The L(L-1) cross term carries the (1 + 1/m) w^2 factor because the LOS
     amplitude is one scalar shared by all antennas.  The LOS/NLOS mixture
@@ -88,13 +93,8 @@ def xi_moments_closed_form(params: ShadowingParams, sigma_e2: float, l_antennas:
     cross = (1 + 1 / m) * w * w + 4 * b * w + 4 * b * b
     xi1 = l_antennas * per_element + l_antennas * (l_antennas - 1) * cross
     xi2 = l_antennas * (2 * b + w) * (2 * b + sigma_e2 + w)
-    return MomentPair(xi1=xi1, xi2=xi2)
-
-
-def desired_signal_moment(params: ShadowingParams, sigma_e2: float, l_antennas: int) -> float:
-    """E[|h^T hhat^*|^2] for a user's own estimate: xi1 + sigma_e2 L (2b + w)."""
-    xi1, _ = xi_moments_closed_form(params, sigma_e2, l_antennas)
-    return xi1 + sigma_e2 * l_antennas * params.mean_element_power
+    desired = xi1 + sigma_e2 * l_antennas * params.mean_element_power
+    return Moments(xi1=xi1, xi2=xi2, desired=desired)
 
 
 def avg_sum_rate_closed_form(config: SystemConfig) -> float:
@@ -108,7 +108,7 @@ def avg_sum_rate_closed_form(config: SystemConfig) -> float:
     """
     a2 = alpha2_closed_form(config)
     moments = xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
-    numerator = a2 * desired_signal_moment(config.shadowing, config.sigma_e2, config.l_antennas)
+    numerator = a2 * moments.desired
     denominator = 1.0 + a2 * (config.q_mux - 1) * moments.xi2
     return float(config.xi * config.n_users * np.log2(1.0 + numerator / denominator))
 
@@ -131,8 +131,8 @@ def intra_interference_term(config: SystemConfig) -> float:
 
 def gain_q_grid(q_max: int) -> range:
     """Multiplexing orders searched in gain comparisons: {2, ..., q_max}."""
-    if not 2 <= q_max <= 10:
-        raise ValueError(f"q_max must be in [2, 10], got {q_max}")
+    if not 2 <= q_max <= MAX_Q:
+        raise ValueError(f"q_max must be in [2, {MAX_Q}], got {q_max}")
     return range(2, q_max + 1)
 
 

@@ -174,7 +174,6 @@ def sample_channel_array(params: ShadowingParams, n_antennas: int, rng, size=())
     """
     if n_antennas < 1:
         raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
-    size = tuple(np.atleast_1d(size).astype(int)) if not isinstance(size, tuple) else size
     z = _los_amplitudes(params, size, rng)
     return _rician(z, np.sqrt(params.beta), n_antennas, rng)
 

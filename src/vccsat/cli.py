@@ -150,36 +150,16 @@ def _resolved(args: argparse.Namespace) -> dict:
     return values
 
 
-def _shadowing_from(values: dict) -> ShadowingParams:
-    custom = [k for k in ("m", "beta", "omega") if k in values]
-    if custom:
-        if len(custom) != 3:
-            raise ValueError(
-                f"custom shadowing requires all of m, beta, omega; got only {custom}"
-            )
-        return ShadowingParams(values["m"], values["beta"], values["omega"])
-    return scenario(values["scenario"])
-
-
-def _scenario_label(values: dict) -> str:
-    if all(k in values for k in ("m", "beta", "omega")):
-        return "custom"
-    return values["scenario"]
-
-
-def _pt_linear(values: dict) -> float:
-    if "pt_linear" in values:
-        return float(values["pt_linear"])
-    return 10.0 ** (float(values["pt_db"]) / 10.0)
-
-
 def _system_config(values: dict) -> SystemConfig:
+    custom = [k for k in ("m", "beta", "omega") if k in values]
+    if custom and len(custom) != 3:
+        raise ValueError(f"custom shadowing requires all of m, beta, omega; got only {custom}")
     return SystemConfig(
         l_antennas=values["l"],
         g_groups=values["g"],
         q_mux=values["q"],
-        p_t=_pt_linear(values),
-        shadowing=_shadowing_from(values),
+        p_t=float(values["pt_linear"]) if "pt_linear" in values else 10.0 ** (float(values["pt_db"]) / 10.0),
+        shadowing=ShadowingParams(*(values[k] for k in custom)) if custom else scenario(values["scenario"]),
         sigma_e2=values["sigma_e2"],
         t_coherence=values["t"],
         theta_pilot=values["theta"],
@@ -285,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     row = {
         "pt_db": 10.0 * np.log10(config.p_t),
         "snr_ave_db": snr_ave_db(config.p_t, config.shadowing),
-        "scenario": _scenario_label(values),
+        "scenario": "custom" if "m" in values else values["scenario"],
         "L": config.l_antennas,
         "G": config.g_groups,
         "Q": config.q_mux,
@@ -326,13 +306,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     values = _resolved(args)
-    checks = experiments.oracle_suite(
-        _system_config(values),
-        rate_trials=values["trials"],
-        moment_trials=max(values["trials"], 10_000) * 10,
-        seed=values["seed"],
-        workers=values["workers"],
-    )
+    checks = experiments.oracle_suite(_system_config(values), values["trials"], values["seed"], values["workers"])
     failures = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -399,7 +373,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
             config,
             FIGURE_PT_GRID_DB,
             q_max=cap,
-            q_max_baseline=cap,
             trials=trials,
             seed=seed,
             workers=workers,

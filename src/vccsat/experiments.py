@@ -76,6 +76,9 @@ def _estimate(
         return np.stack([x.sum(axis=-1), (x * x).sum(axis=-1)])
 
     batches = range(-(-trials // BATCH_TRIALS))
+    # one worker runs the batches here rather than on a one-thread pool: the
+    # bits are the same, but a pool raised validate's peak RSS from 76 to
+    # 103-117 MiB (likely the pool thread's own malloc arena; not verified)
     if workers == 1:
         parts = [batch(j) for j in batches]
     else:
@@ -221,9 +224,8 @@ def mc_moment_oracle(
     trials: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-) -> tuple[Estimate, Estimate, Estimate]:
-    """Empirical counterparts of the closed-form moments, as the estimates
-    (xi1, xi2, desired).
+) -> analysis.Moments:
+    """Empirical counterparts of the closed-form moments, as `Estimate`s.
 
     xi1 from ||h||^4 samples, xi2 from |h^T hhat'^*|^2 with the estimate of a
     second, independent user, and the desired-signal moment |h^T hhat^*|^2
@@ -250,7 +252,7 @@ def mc_moment_oracle(
         return np.stack([xi1_s, xi2_s, desired_s])
 
     means, ses = _estimate(samples, trials, seed, _STREAM_MOMENTS, workers)
-    return tuple(Estimate(float(m), float(se)) for m, se in zip(means, ses))
+    return analysis.Moments(*(Estimate(float(m), float(se)) for m, se in zip(means, ses)))
 
 
 def mc_transmit_power(
@@ -295,14 +297,14 @@ def sweep(
     config: SystemConfig,
     pt_db_values: Sequence[float],
     q_max: int = 8,
-    q_max_baseline: int = 8,
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
     monte_carlo: bool = True,
 ) -> list[SweepRow]:
     """Closed-form and (unless `monte_carlo` is false) Monte Carlo
-    Q-optimised gain at each transmit power in dB.
+    Q-optimised gain at each transmit power in dB, with q capped at `q_max`
+    on both sides.
 
     The closed form is evaluated only for a `ShadowingParams` channel; the
     LOS/NLOS mixture has none, so its rows carry None.  Every error
@@ -313,13 +315,13 @@ def sweep(
         raise ValueError("sweep grid must be nonempty")
     configs = [replace(config, p_t=10.0 ** (float(v) / 10.0)) for v in pt_db_values]
     analytic = [
-        analysis.effective_gain_closed_form(cfg, q_max, q_max_baseline)
+        analysis.effective_gain_closed_form(cfg, q_max, q_max)
         if isinstance(config.shadowing, ShadowingParams)
         else None
         for cfg in configs
     ]
     mc = (
-        mc_gain_table(config, [cfg.p_t for cfg in configs], q_max, q_max_baseline, trials, seed, workers)
+        mc_gain_table(config, [cfg.p_t for cfg in configs], q_max, q_max, trials, seed, workers)
         if monte_carlo
         else [None] * len(configs)
     )
@@ -337,28 +339,21 @@ class CheckResult:
     detail: str
 
 
-def oracle_suite(
-    config: SystemConfig,
-    rate_trials: int = 100_000,
-    moment_trials: int = 1_000_000,
-    seed: int = 0,
-    workers: int = 1,
-    rate_rel_tol: float = 0.05,
-) -> list[CheckResult]:
+def oracle_suite(config: SystemConfig, trials: int = 100_000, seed: int = 0, workers: int = 1) -> list[CheckResult]:
     """Validate the closed forms at one operating point: transmit-power
     contract conditioned on the channel estimate (3 standard errors; see
-    `mc_transmit_power`), xi1/xi2/desired moments (3 standard
-    errors), the average-rate approximation (relative tolerance), and the
-    interference-term identity (1e-12, bit-identical across CSIT error).
+    `mc_transmit_power`), xi1/xi2/desired moments (3 standard errors, on
+    ten times `trials` and at least 100,000 trials), the average-rate
+    approximation (5% relative), and the interference-term identity (1e-12,
+    bit-identical across CSIT error).
 
     The closed-form moments are evaluated first, so a channel model without
     them (the LOS/NLOS mixture) raises `ValueError` before any draw."""
     cf = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
-    des = analysis.desired_signal_moment(config.shadowing, config.sigma_e2, config.l_antennas)
     checks: list[CheckResult] = []
 
     for label, cfg in (("vcc", config), ("baseline", replace(config, g_groups=1))):
-        est = mc_transmit_power(cfg, rate_trials, seed, workers)
+        est = mc_transmit_power(cfg, trials, seed, workers)
         err = abs(est.mean - cfg.p_t)
         ok = err <= 3.0 * est.std_error
         checks.append(
@@ -370,19 +365,18 @@ def oracle_suite(
         )
 
     moments = mc_moment_oracle(
-        config.shadowing, config.sigma_e2, config.l_antennas, moment_trials, seed, workers
+        config.shadowing, config.sigma_e2, config.l_antennas, max(trials, 10_000) * 10, seed, workers
     )
-    for name, (mc_val, se), cf_val in zip(
-        ("moment-xi1", "moment-xi2", "moment-desired"), moments, (cf.xi1, cf.xi2, des)
-    ):
+    for name, (mc_val, se), cf_val in zip(cf._fields, moments, cf):
         ok = abs(mc_val - cf_val) <= 3.0 * se
         checks.append(
-            CheckResult(name, ok, f"mc={mc_val:.6g} closed={cf_val:.6g} (3se={3*se:.3g})")
+            CheckResult(f"moment-{name}", ok, f"mc={mc_val:.6g} closed={cf_val:.6g} (3se={3*se:.3g})")
         )
 
-    est = mc_sum_rate(config, rate_trials, seed, workers)
+    est = mc_sum_rate(config, trials, seed, workers)
     cf_rate = analysis.avg_sum_rate_closed_form(config)
     rel = abs(cf_rate - est.mean) / est.mean
+    rate_rel_tol = 0.05
     checks.append(
         CheckResult(
             "rate-approximation",

@@ -7,7 +7,6 @@ from vccsat.analysis import (
     alpha2_closed_form,
     avg_sum_rate_closed_form,
     best_rate_closed_form,
-    desired_signal_moment,
     effective_gain_closed_form,
     intra_interference_term,
     xi_moments_closed_form,
@@ -64,6 +63,13 @@ class TestAlpha2:
         base = make_config(g_groups=1)
         assert alpha2_closed_form(base) == pytest.approx(6 * alpha2_closed_form(vcc))
 
+    @pytest.mark.parametrize("sigma_e2", [0.0, 0.125])
+    def test_zero_power_channel_rejected(self, sigma_e2):
+        # with sigma_e2 > 0 the estimate has power although the channel has none
+        config = make_config(shadowing=ShadowingParams(m=1.0, beta=0.0, omega=0.0), sigma_e2=sigma_e2)
+        with pytest.raises(ValueError, match="mean channel power is zero"):
+            alpha2_closed_form(config)
+
 
 class TestXiMoments:
     def test_xi2_perfect_csit(self):
@@ -81,9 +87,7 @@ class TestXiMoments:
     def test_desired_moment_extends_xi1(self):
         p = SCENARIOS["AS"]
         moments = xi_moments_closed_form(p, 0.125, 8)
-        assert desired_signal_moment(p, 0.125, 8) == pytest.approx(
-            moments.xi1 + 0.125 * 8 * p.mean_element_power
-        )
+        assert moments.desired == pytest.approx(moments.xi1 + 0.125 * 8 * p.mean_element_power)
 
     @given(config=config_strategy)
     @settings(max_examples=50, deadline=None)
@@ -98,7 +102,7 @@ class TestAvgSumRate:
         config = make_config(g_groups=1, q_mux=1)
         a2 = alpha2_closed_form(config)
         expected = config.xi * np.log2(
-            1 + a2 * desired_signal_moment(config.shadowing, config.sigma_e2, config.l_antennas)
+            1 + a2 * xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas).desired
         )
         assert avg_sum_rate_closed_form(config) == pytest.approx(expected, rel=1e-12)
 

@@ -205,6 +205,26 @@ class TestAnalyze:
         assert "nan" not in out
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--json", "out.json"],
+            ["analyze", "--gain", "--json", "out.json"],
+            ["simulate", "--trials", "100"],
+            ["simulate", "--gain", "--trials", "100"],
+            ["validate", "--trials", "100"],
+        ],
+        ids=["analyze", "analyze-gain", "simulate", "simulate-gain", "validate"],
+    )
+    def test_zero_power_channel_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        # the default sigma_e2 keeps the estimate's power positive, but every
+        # rate and SNR of a channel without power would be zero
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--m", "1", "--beta", "0", "--omega", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: degenerate parameters: mean channel power is zero\n"
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "analyze", "--config", "/nonexistent/path.cfg")
         assert code == 2
@@ -282,6 +302,17 @@ class TestSimulate:
         code, _, _ = run(capsys, *args, "--workers", "2", "--out", str(tmp_path / "b" / "run"))
         assert code == 0
         assert (tmp_path / "a" / "run.csv").read_bytes() == (tmp_path / "b" / "run.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, label",
+        [(["--m", "2.0", "--beta", "0.2", "--omega", "0.5"], "custom"), (["--scenario", "ils"], "ils")],
+        ids=["custom", "scenario"],
+    )
+    def test_csv_scenario_label(self, capsys, tmp_path, flags, label):
+        code, _, _ = run(capsys, "simulate", *flags, "--trials", "100", "--out", str(tmp_path / "run"))
+        assert code == 0
+        header, row = (tmp_path / "run.csv").read_text().splitlines()[1:]
+        assert dict(zip(header.split(","), row.split(",")))["scenario"] == label
 
     def test_validate_mode_removed(self, capsys, tmp_path, monkeypatch):
         # the oracle suite is `vccsat validate`; simulate has no second path to it

@@ -9,7 +9,6 @@ from vccsat import experiments
 from vccsat.analysis import (
     alpha2_closed_form,
     avg_sum_rate_closed_form,
-    desired_signal_moment,
     xi_moments_closed_form,
 )
 from vccsat.channel import SCENARIOS, DynamicScenario, ShadowingParams, estimation_noise, substream
@@ -61,6 +60,10 @@ def _no_draw(*args):
     raise AssertionError("a substream was drawn")
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
 class TestEstimate:
     @staticmethod
     def samples(rng, n):
@@ -93,6 +96,13 @@ class TestEstimate:
             estimate(10_000, 0)
         with pytest.raises(ValueError, match="trials must be >="):
             estimate(50, 1)
+
+    @pytest.mark.parametrize("estimate", ESTIMATORS)
+    def test_one_worker_starts_no_pool(self, monkeypatch, estimate):
+        # a one-thread pool gives the same bits, but it raised validate's
+        # peak RSS from 76 to 103-117 MiB
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", _no_pool)
+        estimate(10_000, 1)
 
     @pytest.mark.parametrize(
         "call",
@@ -239,7 +249,7 @@ class TestMomentOracle:
         cf = xi_moments_closed_form(params, 0.125, 8)
         assert abs(xi1.mean - cf.xi1) <= 3 * xi1.std_error
         assert abs(xi2.mean - cf.xi2) <= 3 * xi2.std_error
-        assert abs(desired.mean - desired_signal_moment(params, 0.125, 8)) <= 3 * desired.std_error
+        assert abs(desired.mean - cf.desired) <= 3 * desired.std_error
 
     def test_zero_channel_gives_zero_moments(self):
         from vccsat.channel import ShadowingParams
@@ -341,7 +351,7 @@ class TestSweep:
 
     def test_power_sweep_fast_path_matches_per_point_calls(self):
         config = make_config()
-        rows = sweep(config, [3.0, 12.0], q_max=4, q_max_baseline=4, trials=4000, seed=13)
+        rows = sweep(config, [3.0, 12.0], q_max=4, trials=4000, seed=13)
         for row in rows:
             cfg = replace(config, p_t=10 ** (row.pt_db / 10))
             direct = mc_gain_table(cfg, [cfg.p_t], q_max=4, q_max_baseline=4, trials=4000, seed=13)[0]
@@ -363,7 +373,7 @@ class TestSweep:
 class TestOracleSuite:
     def test_suite_passes_at_default_operating_point(self):
         config = make_config(q_mux=8, p_t=10**1.81)
-        checks = oracle_suite(config, rate_trials=20_000, moment_trials=100_000, seed=0)
+        checks = oracle_suite(config, trials=20_000, seed=0)
         names = {c.name for c in checks}
         assert {
             "power-contract-vcc",
@@ -385,12 +395,28 @@ class TestOracleSuite:
             ShadowingParams, "element_power", lambda self, sigma_e2=0.0: self.mean_element_power
         )
         config = make_config(q_mux=8, p_t=10**1.81)
-        checks = oracle_suite(config, rate_trials=8192, moment_trials=10_000, seed=0)
+        checks = oracle_suite(config, trials=8192, seed=0)
         status = {c.name: c.passed for c in checks}
         assert status["power-contract-vcc"] is False
         assert status["power-contract-baseline"] is False
 
+    @pytest.mark.parametrize("trials, moment_trials", [(8192, 100_000), (20_000, 200_000)])
+    def test_moment_trials_are_ten_times_trials_and_at_least_100000(self, monkeypatch, trials, moment_trials):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def spy(params, sigma_e2, l_antennas, trials, seed, workers):
+            seen.append(trials)
+            raise Stop
+
+        monkeypatch.setattr(experiments, "mc_moment_oracle", spy)
+        with pytest.raises(Stop):
+            oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=trials, seed=0)
+        assert seen == [moment_trials]
+
     def test_mixture_rejected_with_value_error(self):
         config = make_config(shadowing=DynamicScenario())
         with pytest.raises(ValueError, match="no closed-form"):
-            oracle_suite(config, rate_trials=1000, moment_trials=10_000, seed=0)
+            oracle_suite(config, trials=1000, seed=0)
