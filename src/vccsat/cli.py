@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -154,11 +155,15 @@ def _system_config(values: dict) -> SystemConfig:
     custom = [k for k in ("m", "beta", "omega") if k in values]
     if custom and len(custom) != 3:
         raise ValueError(f"custom shadowing requires all of m, beta, omega; got only {custom}")
+    try:
+        p_t = float(values["pt_linear"]) if "pt_linear" in values else 10.0 ** (float(values["pt_db"]) / 10.0)
+    except OverflowError:  # pt_db above about 3083: SystemConfig rejects it as not finite
+        p_t = math.inf
     return SystemConfig(
         l_antennas=values["l"],
         g_groups=values["g"],
         q_mux=values["q"],
-        p_t=float(values["pt_linear"]) if "pt_linear" in values else 10.0 ** (float(values["pt_db"]) / 10.0),
+        p_t=p_t,
         shadowing=ShadowingParams(*(values[k] for k in custom)) if custom else scenario(values["scenario"]),
         sigma_e2=values["sigma_e2"],
         t_coherence=values["t"],
@@ -401,7 +406,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
         outputs.append(path.name)
         print(f"wrote {path}")
 
-    _write_json(outdir / manifest_name, _manifest(f"figure {args.figure}", values, seed, outputs))
+    # an analytic-only run draws nothing, so its manifest names no seed or stream
+    manifest = _manifest(f"figure {args.figure}", values, None if args.analytic_only else seed, outputs)
+    _write_json(outdir / manifest_name, manifest)
     return 0
 
 

@@ -7,7 +7,8 @@ j) and partial sums are combined in batch-index order, so results are
 bit-identical for a given seed at any worker count.  Channel draws are reused
 across a q grid (the draw width is the largest q) and across transmit-power
 grids (power only rescales alpha^2), which also pins the Q argmax to one set
-of realisations.
+of realisations.  At one operating point, the rate and both transmit-power
+contracts read the same draw (`_operating_point`).
 
 Within a batch the CSIT estimates exist only per chunk of `CHUNK_TRIALS`
 trials: the channel is drawn for the whole batch, then each chunk's
@@ -40,11 +41,12 @@ BATCH_TRIALS = 4096  # fixed: changing it changes the draw stream
 # size gives the same bits
 CHUNK_TRIALS = 512
 
-# stream tags keep the independent estimators on disjoint substreams
+# stream tags keep the independent estimators on disjoint substreams: the
+# rate grid and the operating point (rate and power), the gain's baseline
+# side, and the moment oracle
 _STREAM_RATE = 0
 _STREAM_BASELINE = 1
 _STREAM_MOMENTS = 2
-_STREAM_POWER = 3
 
 _INV_LN2 = 1.0 / np.log(2.0)
 
@@ -108,19 +110,10 @@ def _chunks(
         yield a, h_chunk, h_hat
 
 
-def _rate_table_raw(
-    config: SystemConfig,
-    q_grid: Sequence[int],
-    pt_values: Sequence[float],
-    trials: int,
-    seed: int,
-    workers: int,
-    stream: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the effective sum rate on a (pt, q) grid,
-    sharing one set of channel draws of width max(q_grid) per batch."""
-    q_grid = list(q_grid)
-    pt_values = [float(p) for p in pt_values]
+def _rate_kernel(config: SystemConfig, q_grid: list[int], pt_values: list[float]) -> Callable[..., None]:
+    """Validate a (pt, q) rate grid and return `rates(h, h_hat, out)`, which
+    writes one chunk's per-trial effective sum rates of every cell into
+    `out`, shaped (pt, q, chunk), and conjugates `h_hat` in place."""
     if not q_grid or not pt_values:
         raise ValueError(f"rate grid must be nonempty, got {len(pt_values)} powers and {len(q_grid)} q values")
     # validate every cell up front; alpha2 and xi depend on (pt, q) only
@@ -134,45 +127,97 @@ def _rate_table_raw(
     # alpha2 of q index qi for every power, shaped to broadcast over (P, chunk, G, q)
     alpha2_b = alpha2[:, :, None, None, None]
 
+    def rates(h: np.ndarray, h_hat: np.ndarray, out: np.ndarray) -> None:
+        # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul
+        inner = h @ np.conjugate(h_hat, out=h_hat).swapaxes(-1, -2)
+        power = inner.real**2 + inner.imag**2
+        for qi, q in enumerate(q_grid):
+            pq = power[:, :, :q, :q]
+            signal = np.diagonal(pq, axis1=2, axis2=3).copy()
+            interference = pq.sum(axis=3) - signal
+            # sinr = a2 * signal / (1 + a2 * interference) for every power
+            # at once: a few large ufunc calls per chunk and q, not a few
+            # per power, so two workers seldom wait on each other for the GIL
+            a2 = alpha2_b[:, qi]
+            denominator = a2 * interference
+            np.add(1.0, denominator, out=denominator)
+            sinr = a2 * signal
+            np.divide(sinr, denominator, out=sinr)
+            np.log1p(sinr, out=sinr)
+            out[:, qi] = xi[qi] * _INV_LN2 * sinr.sum(axis=(2, 3))
+
+    return rates
+
+
+def _rate_table_raw(
+    config: SystemConfig,
+    q_grid: Sequence[int],
+    pt_values: Sequence[float],
+    trials: int,
+    seed: int,
+    workers: int,
+    stream: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the effective sum rate on a (pt, q) grid,
+    sharing one set of channel draws of width max(q_grid) per batch."""
+    q_grid = list(q_grid)
+    pt_values = [float(p) for p in pt_values]
+    rates_of = _rate_kernel(config, q_grid, pt_values)
+
     def samples(rng: np.random.Generator, n: int) -> np.ndarray:
         # per-trial rates of the batch, reduced once by `_estimate`, so the
         # summation order does not depend on the chunk size
         rates = np.empty((len(pt_values), len(q_grid), n))
         for a, h, h_hat in _chunks(config, max(q_grid), rng, n):
-            trials_c = slice(a, a + len(h))
-            # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul; the
-            # estimates are conjugated in place, as nothing else reads them
-            inner = h @ np.conjugate(h_hat, out=h_hat).swapaxes(-1, -2)
-            power = inner.real**2 + inner.imag**2
-            for qi, q in enumerate(q_grid):
-                pq = power[:, :, :q, :q]
-                signal = np.diagonal(pq, axis1=2, axis2=3).copy()
-                interference = pq.sum(axis=3) - signal
-                # sinr = a2 * signal / (1 + a2 * interference) for every power
-                # at once: a few large ufunc calls per chunk and q, not a few
-                # per power, so two workers seldom wait on each other for the GIL
-                a2 = alpha2_b[:, qi]
-                denominator = a2 * interference
-                np.add(1.0, denominator, out=denominator)
-                sinr = a2 * signal
-                np.divide(sinr, denominator, out=sinr)
-                np.log1p(sinr, out=sinr)
-                rates[:, qi, trials_c] = xi[qi] * _INV_LN2 * sinr.sum(axis=(2, 3))
+            rates_of(h, h_hat, rates[:, :, a : a + len(h)])
         return rates
 
     return _estimate(samples, trials, seed, stream, workers)
 
 
-def mc_sum_rate(
-    config: SystemConfig,
-    trials: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> Estimate:
+def _operating_point(config: SystemConfig, trials: int, seed: int, workers: int) -> tuple[Estimate, ...]:
+    """Effective sum rate, VCC and baseline transmit power at one operating
+    point, from one draw on `_STREAM_RATE`.
+
+    Each power is conditioned on the channel estimate: for unit-power
+    symbols E_s||x||^2 = alpha^2 sum_k ||hhat_k||^2 exactly, which must
+    average to P_t.  The VCC power sums all G groups; the baseline power
+    reads group 0, which is distributed exactly as a G = 1 draw, at the
+    baseline's alpha^2."""
+    rates_of = _rate_kernel(config, [config.q_mux], [config.p_t])
+    alpha2 = analysis.alpha2_closed_form(config)
+    alpha2_baseline = analysis.alpha2_closed_form(replace(config, g_groups=1))
+
+    def samples(rng: np.random.Generator, n: int) -> np.ndarray:
+        x = np.empty((3, n))
+        for a, h, h_hat in _chunks(config, config.q_mux, rng, n):
+            trials_c = slice(a, a + len(h))
+            # the real and imaginary parts of each group's estimates, as a view
+            parts = h_hat.reshape(len(h_hat), config.g_groups, -1).view(np.float64)
+            group_power = np.einsum("ngi,ngi->ng", parts, parts)
+            x[1, trials_c] = group_power.sum(axis=1)
+            x[2, trials_c] = group_power[:, 0]
+            # row 0 as the one (pt, q) cell of the kernel's output
+            rates_of(h, h_hat, x[None, :1, trials_c])
+        x[1] *= alpha2
+        x[2] *= alpha2_baseline
+        return x
+
+    means, ses = _estimate(samples, trials, seed, _STREAM_RATE, workers)
+    return tuple(Estimate(float(m), float(se)) for m, se in zip(means, ses))
+
+
+def mc_sum_rate(config: SystemConfig, trials: int = 100_000, seed: int = 0, workers: int = 1) -> Estimate:
     """Monte Carlo mean of the effective sum rate at the given operating
     point, using the statistical power factor of the closed-form analysis."""
-    means, ses = _rate_table_raw(config, [config.q_mux], [config.p_t], trials, seed, workers, _STREAM_RATE)
-    return Estimate(float(means[0, 0]), float(ses[0, 0]))
+    return _operating_point(config, trials, seed, workers)[0]
+
+
+def mc_transmit_power(config: SystemConfig, trials: int = 100_000, seed: int = 0, workers: int = 1) -> Estimate:
+    """Empirical E[||x||^2] of the matched-filter signal, conditioned on the
+    channel estimate, over the draw `mc_sum_rate` reads (see
+    `_operating_point`)."""
+    return _operating_point(config, trials, seed, workers)[1]
 
 
 def mc_gain_table(
@@ -255,30 +300,6 @@ def mc_moment_oracle(
     return analysis.Moments(*(Estimate(float(m), float(se)) for m, se in zip(means, ses)))
 
 
-def mc_transmit_power(
-    config: SystemConfig,
-    trials: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> Estimate:
-    """Empirical E[||x||^2] of the matched-filter signal, conditioned on the
-    channel estimate: for unit-power symbols E_s||x||^2 = alpha^2 sum_k
-    ||hhat_k||^2 exactly, which must average to P_t under the power factor."""
-    alpha2 = analysis.alpha2_closed_form(config)
-
-    def samples(rng: np.random.Generator, n: int) -> np.ndarray:
-        pw = np.empty(n)
-        for a, _, h_hat in _chunks(config, config.q_mux, rng, n):
-            # the real and imaginary parts of each trial's estimates, as a view
-            parts = h_hat.reshape(len(h_hat), -1).view(np.float64)
-            pw[a : a + len(h_hat)] = np.einsum("ni,ni->n", parts, parts)
-        pw *= alpha2
-        return pw
-
-    mean, se = _estimate(samples, trials, seed, _STREAM_POWER, workers)
-    return Estimate(float(mean), float(se))
-
-
 # ---------------------------------------------------------------------------
 # Power sweep
 # ---------------------------------------------------------------------------
@@ -340,53 +361,62 @@ class CheckResult:
 
 
 def oracle_suite(config: SystemConfig, trials: int = 100_000, seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    """Validate the closed forms at one operating point: transmit-power
-    contract conditioned on the channel estimate (3 standard errors; see
-    `mc_transmit_power`), xi1/xi2/desired moments (3 standard errors, on
-    ten times `trials` and at least 100,000 trials), the average-rate
-    approximation (5% relative), and the interference-term identity (1e-12,
-    bit-identical across CSIT error).
+    """Validate the closed forms at one operating point: the transmit-power
+    contract conditioned on the channel estimate, for VCC and for the
+    baseline (3 standard errors), xi1/xi2/desired moments (3 standard
+    errors, on ten times `trials` and at least 100,000 trials), the
+    average-rate approximation (5% relative), and the interference-term
+    identity (1e-12, bit-identical across CSIT error).
 
-    The closed-form moments are evaluated first, so a channel model without
-    them (the LOS/NLOS mixture) raises `ValueError` before any draw."""
+    The rate and both power contracts read one draw of the operating point
+    (see `_operating_point`): the baseline's power is that of group 0, which
+    is distributed exactly as a G = 1 draw, so it keeps its own sampling
+    error instead of rescaling the VCC line.
+
+    The closed-form moments and alpha^2 are evaluated first, so a channel
+    model without moments (the LOS/NLOS mixture) or without power raises
+    `ValueError` before any draw."""
     cf = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
+    a2 = analysis.alpha2_closed_form(config)
+    # the moments are drawn before the operating point: perfbench times a
+    # batch up to its caller's next substream or end, so in the other order
+    # the operating point's last batch would span the whole moment oracle
+    moments = mc_moment_oracle(
+        config.shadowing, config.sigma_e2, config.l_antennas, max(trials, 10_000) * 10, seed, workers
+    )
+    rate, *powers = _operating_point(config, trials, seed, workers)
     checks: list[CheckResult] = []
 
-    for label, cfg in (("vcc", config), ("baseline", replace(config, g_groups=1))):
-        est = mc_transmit_power(cfg, trials, seed, workers)
-        err = abs(est.mean - cfg.p_t)
+    # both sides target the same P_t
+    for label, est in zip(("vcc", "baseline"), powers):
+        err = abs(est.mean - config.p_t)
         ok = err <= 3.0 * est.std_error
         checks.append(
             CheckResult(
                 f"power-contract-{label}",
                 ok,
-                f"E[|x|^2]={est.mean:.6g} target={cfg.p_t:.6g} err={err:.3g} (3se={3*est.std_error:.3g})",
+                f"E[|x|^2]={est.mean:.6g} target={config.p_t:.6g} err={err:.3g} (3se={3*est.std_error:.3g})",
             )
         )
 
-    moments = mc_moment_oracle(
-        config.shadowing, config.sigma_e2, config.l_antennas, max(trials, 10_000) * 10, seed, workers
-    )
     for name, (mc_val, se), cf_val in zip(cf._fields, moments, cf):
         ok = abs(mc_val - cf_val) <= 3.0 * se
         checks.append(
             CheckResult(f"moment-{name}", ok, f"mc={mc_val:.6g} closed={cf_val:.6g} (3se={3*se:.3g})")
         )
 
-    est = mc_sum_rate(config, trials, seed, workers)
     cf_rate = analysis.avg_sum_rate_closed_form(config)
-    rel = abs(cf_rate - est.mean) / est.mean
+    rel = abs(cf_rate - rate.mean) / rate.mean
     rate_rel_tol = 0.05
     checks.append(
         CheckResult(
             "rate-approximation",
             rel <= rate_rel_tol,
-            f"closed={cf_rate:.6g} mc={est.mean:.6g} rel={rel:.4f} (tol {rate_rel_tol})",
+            f"closed={cf_rate:.6g} mc={rate.mean:.6g} rel={rel:.4f} (tol {rate_rel_tol})",
         )
     )
 
     if config.q_mux >= 2:
-        a2 = analysis.alpha2_closed_form(config)
         product = a2 * (config.q_mux - 1) * cf.xi2
         term = analysis.intra_interference_term(config)
         rel_id = abs(product - term) / term if term else abs(product - term)

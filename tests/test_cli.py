@@ -205,6 +205,16 @@ class TestAnalyze:
         assert "nan" not in out
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
+    def test_overflowing_pt_db_rejected(self, capsys, tmp_path, monkeypatch, command):
+        # 10 ** (pt_db / 10) overflows a Python float above about 3083 dB;
+        # the overflow is reported as the infinite power it stands for
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command, "--pt-db", "1e10")
+        assert (code, out) == (2, "")
+        assert err == "error: p_t must be finite and > 0, got inf\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -410,6 +420,9 @@ class TestFigure:
         manifest = json.loads((tmp_path / "fig2_manifest.json").read_text())
         assert manifest["command"] == "figure 2"
         assert len(manifest["outputs"]) == 3
+        # nothing was drawn, so no seed or stream version is recorded
+        assert manifest["seed"] is None
+        assert "stream_version" not in manifest
 
     def test_figure1_gain_anchor_at_15_db(self, capsys, tmp_path):
         code, _, _ = run(capsys, "figure", "1", "--outdir", str(tmp_path), "--analytic-only")

@@ -400,6 +400,32 @@ class TestOracleSuite:
         assert status["power-contract-vcc"] is False
         assert status["power-contract-baseline"] is False
 
+    def test_one_link_draw_per_batch_and_no_baseline_draw(self, monkeypatch):
+        # the rate and both power contracts read the same G = 6 draw, so a
+        # batch opens one link draw and no G = 1 channel is ever drawn
+        draws = []
+        chunks = experiments._chunks
+
+        def spy(config, q_width, rng, n):
+            draws.append((config.g_groups, q_width, n))
+            return chunks(config, q_width, rng, n)
+
+        monkeypatch.setattr(experiments, "_chunks", spy)
+        checks = oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=2 * BATCH_TRIALS + 17, seed=0)
+        assert len(checks) == 7
+        assert draws == [(6, 8, BATCH_TRIALS), (6, 8, BATCH_TRIALS), (6, 8, 17)]
+
+    def test_group0_baseline_power_matches_an_independent_baseline_draw(self):
+        # group 0 of the G = 6 draw is distributed as a G = 1 draw: same mean
+        # within 4 combined SE, and its own sampling error, not the VCC
+        # line's, which pools 6 groups
+        config = make_config(q_mux=8, p_t=10**1.81)
+        _, vcc, group0 = experiments._operating_point(config, 50_000, 11, 1)
+        independent = mc_transmit_power(replace(config, g_groups=1), 50_000, 12, 1)
+        assert abs(group0.mean - independent.mean) <= 4 * np.hypot(group0.std_error, independent.std_error)
+        assert group0.std_error == pytest.approx(independent.std_error, rel=0.1)
+        assert group0.std_error > 2 * vcc.std_error
+
     @pytest.mark.parametrize("trials, moment_trials", [(8192, 100_000), (20_000, 200_000)])
     def test_moment_trials_are_ten_times_trials_and_at_least_100000(self, monkeypatch, trials, moment_trials):
         class Stop(Exception):

@@ -9,7 +9,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "vccsat"
 
 # module.name -> why it stays in src/ with no caller there
-ALLOWED = {"linkphy.sinr_batch": "wrapped by perfbench/tracer.py"}
+ALLOWED = {
+    "linkphy.sinr_batch": "wrapped by perfbench/tracer.py",
+    "experiments.mc_transmit_power": "wrapped by perfbench/tracer.py; acceptance c02 checks it",
+}
 
 
 def _defined(tree: ast.Module) -> list[str]:
