@@ -25,7 +25,6 @@ from .channel import (
     elevation_angle,
     los_probability,
     scenario,
-    snr_ave_db,
     substream,
 )
 from .experiments import (

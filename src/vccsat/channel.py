@@ -60,15 +60,10 @@ class ShadowingParams:
         if not 0 <= self.omega < math.inf:
             raise ValueError(f"LOS power omega must be finite and >= 0, got {self.omega}")
 
-    @property
-    def mean_element_power(self) -> float:
-        """E[|h_l|^2] = 2*beta + omega."""
-        return 2.0 * self.beta + self.omega
-
     def element_power(self, sigma_e2: float = 0.0) -> float:
         """E[|hhat_l|^2] = 2*beta + omega + sigma_e2 of an estimate with error
         power sigma_e2; sigma_e2 = 0 gives the channel's own E[|h_l|^2]."""
-        return self.mean_element_power + sigma_e2
+        return 2.0 * self.beta + self.omega + sigma_e2
 
     def draw(self, rng, n_antennas: int, size) -> np.ndarray:
         """Channels of shape (*size, n_antennas); see `sample_channel_array`."""
@@ -188,13 +183,6 @@ def estimation_noise(shape, sigma_e2, rng) -> np.ndarray:
     return _complex_normals(np.sqrt(0.5 * sigma_e2), np.atleast_1d(shape), rng)
 
 
-def snr_ave_db(p_t_linear, params: ShadowingParams | DynamicScenario) -> float:
-    """Average single-antenna downlink SNR, 10*log10(P_t * E|h_l|^2)."""
-    if not p_t_linear > 0:
-        raise ValueError(f"p_t_linear must be > 0, got {p_t_linear}")
-    return float(10.0 * np.log10(p_t_linear * params.element_power()))
-
-
 # ---------------------------------------------------------------------------
 # Dynamic LOS/NLOS channel over a coverage disk
 # ---------------------------------------------------------------------------
@@ -224,8 +212,8 @@ class DynamicScenario:
     def element_power(self, sigma_e2: float = 0.0) -> float:
         """Position-averaged mean element power of the (estimated) channel."""
         p = disk_mean_los_probability(self)
-        los = self.los_params.mean_element_power + sigma_e2
-        nlos = self.nlos_params.mean_element_power + sigma_e2
+        los = self.los_params.element_power(sigma_e2)
+        nlos = self.nlos_params.element_power(sigma_e2)
         return p * los + (1.0 - p) * nlos
 
     def user_radii(self, rng, size) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, analysis, experiments
 from .caching import CacheLayout, build_schedule, schedule_to_dict, verify_completeness
-from .channel import SCENARIOS, STREAM_VERSION, DynamicScenario, ShadowingParams, scenario, snr_ave_db
+from .channel import SCENARIOS, STREAM_VERSION, DynamicScenario, ShadowingParams, scenario
 from .linkphy import SystemConfig
 
 # 3 dB steps plus the 18.1 dB link-budget operating point
@@ -217,14 +217,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
 
     a2 = analysis.alpha2_closed_form(config)
-    moments = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
+    moments = analysis.xi_moments_closed_form(config)
     rate = analysis.avg_sum_rate_closed_form(config)
     # computed before the report, so a bad q cap fails with nothing printed
     caps = (values["q_max"], values["q_max_baseline"])
     res = analysis.effective_gain_closed_form(config, *caps) if args.gain else None
     mode = "baseline (cacheless, G=1)" if config.g_groups == 1 else f"cache-aided (G={config.g_groups})"
     print(f"mode            : {mode}")
-    print(f"snr_ave_db      : {snr_ave_db(config.p_t, config.shadowing):.4f}")
+    print(f"snr_ave_db      : {config.snr_ave_db:.4f}")
     print(f"alpha2          : {a2:.6g}")
     print(f"xi              : {config.xi:.6g}")
     print(f"xi1             : {moments.xi1:.6g}")
@@ -263,13 +263,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     seed, trials, workers = values["seed"], values["trials"], values["workers"]
     caps = (values["q_max"], values["q_max_baseline"])
-    # computed before any Monte Carlo, so a bad q cap fails before the draws
+    # computed before any Monte Carlo, so bad caps or rates fail before the draws
     cf_gain = analysis.effective_gain_closed_form(config, *caps) if args.gain else None
-    est = experiments.mc_sum_rate(config, trials, seed, workers)
     cf = analysis.avg_sum_rate_closed_form(config)
+    est = experiments.mc_sum_rate(config, trials, seed, workers)
     row = {
         "pt_db": 10.0 * np.log10(config.p_t),
-        "snr_ave_db": snr_ave_db(config.p_t, config.shadowing),
+        "snr_ave_db": config.snr_ave_db,
         "scenario": "custom" if "m" in values else values["scenario"],
         "L": config.l_antennas,
         "G": config.g_groups,
@@ -326,7 +326,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 # the channels of the figure curves, by the label their CSVs carry
-_CHANNELS = {**SCENARIOS, "DYNAMIC": DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)}
+_CHANNELS = {**SCENARIOS, "DYNAMIC": DynamicScenario()}
 
 # one row per curve: figure id, file name, channel, L, sigma_e2, fixed T
 # (None: --T) and the q cap of both sides; every curve has G = 6
@@ -370,7 +370,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     outputs = []
     manifest_name = f"fig{args.figure}_manifest.json"
     for name, label, cap, config in curves:
-        offset = snr_ave_db(1.0, config.shadowing)
+        offset = config.snr_ave_db  # the template's p_t is 1
         # a curve without a closed form (the LOS/NLOS mixture) leaves its
         # analytic columns empty
         rows = []

@@ -20,7 +20,6 @@ reduced once per batch, so the chunk size moves no output bit.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -263,30 +262,26 @@ def mc_gain_table(
 
 
 def mc_moment_oracle(
-    params: ShadowingParams,
-    sigma_e2: float,
-    l_antennas: int,
-    trials: int = 1_000_000,
-    seed: int = 0,
-    workers: int = 1,
+    config: SystemConfig, trials: int = 1_000_000, seed: int = 0, workers: int = 1
 ) -> analysis.Moments:
     """Empirical counterparts of the closed-form moments, as `Estimate`s.
 
     xi1 from ||h||^4 samples, xi2 from |h^T hhat'^*|^2 with the estimate of a
     second, independent user, and the desired-signal moment |h^T hhat^*|^2
-    with the user's own estimate.
+    with the user's own estimate.  Only a `ShadowingParams` channel is drawn:
+    the LOS/NLOS mixture has no closed-form moments to check.
     """
     if trials < 10_000:
         raise ValueError(f"trials must be >= 10000, got {trials}")
-    if not 0 <= sigma_e2 < math.inf:
-        raise ValueError(f"sigma_e2 must be finite and >= 0, got {sigma_e2}")
+    if not isinstance(config.shadowing, ShadowingParams):
+        raise ValueError(f"{type(config.shadowing).__name__} has no moment oracle; only ShadowingParams are drawn")
 
     def samples(rng: np.random.Generator, n: int) -> np.ndarray:
-        h = sample_channel_array(params, l_antennas, rng, size=(n,))
-        h_hat_own = estimation_noise(h.shape, sigma_e2, rng)
+        h = sample_channel_array(config.shadowing, config.l_antennas, rng, size=(n,))
+        h_hat_own = estimation_noise(h.shape, config.sigma_e2, rng)
         h_hat_own += h
-        h_other = sample_channel_array(params, l_antennas, rng, size=(n,))
-        h_hat_other = estimation_noise(h.shape, sigma_e2, rng)
+        h_other = sample_channel_array(config.shadowing, config.l_antennas, rng, size=(n,))
+        h_hat_other = estimation_noise(h.shape, config.sigma_e2, rng)
         h_hat_other += h_other
         norm2 = (h.real**2 + h.imag**2).sum(axis=1)
         xi1_s = norm2 * norm2
@@ -373,17 +368,16 @@ def oracle_suite(config: SystemConfig, trials: int = 100_000, seed: int = 0, wor
     is distributed exactly as a G = 1 draw, so it keeps its own sampling
     error instead of rescaling the VCC line.
 
-    The closed-form moments and alpha^2 are evaluated first, so a channel
-    model without moments (the LOS/NLOS mixture) or without power raises
-    `ValueError` before any draw."""
-    cf = analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
+    The closed forms are evaluated first, so a channel model without
+    moments (the LOS/NLOS mixture) or without power, or a rate that is not
+    finite, raises `ValueError` before any draw."""
+    cf = analysis.xi_moments_closed_form(config)
     a2 = analysis.alpha2_closed_form(config)
+    cf_rate = analysis.avg_sum_rate_closed_form(config)
     # the moments are drawn before the operating point: perfbench times a
     # batch up to its caller's next substream or end, so in the other order
     # the operating point's last batch would span the whole moment oracle
-    moments = mc_moment_oracle(
-        config.shadowing, config.sigma_e2, config.l_antennas, max(trials, 10_000) * 10, seed, workers
-    )
+    moments = mc_moment_oracle(config, max(trials, 10_000) * 10, seed, workers)
     rate, *powers = _operating_point(config, trials, seed, workers)
     checks: list[CheckResult] = []
 
@@ -405,7 +399,6 @@ def oracle_suite(config: SystemConfig, trials: int = 100_000, seed: int = 0, wor
             CheckResult(f"moment-{name}", ok, f"mc={mc_val:.6g} closed={cf_val:.6g} (3se={3*se:.3g})")
         )
 
-    cf_rate = analysis.avg_sum_rate_closed_form(config)
     rel = abs(cf_rate - rate.mean) / rate.mean
     rate_rel_tol = 0.05
     checks.append(

@@ -69,6 +69,11 @@ class SystemConfig:
         """Fraction of the coherence block left after CSI acquisition."""
         return 1.0 - self.g_groups * self.q_mux * self.theta_pilot / self.t_coherence
 
+    @property
+    def snr_ave_db(self) -> float:
+        """Average single-antenna downlink SNR, 10*log10(P_t * E|h_l|^2)."""
+        return float(10.0 * np.log10(self.p_t * self.shadowing.element_power()))
+
 
 def sinr_batch(true_h: np.ndarray, est_h: np.ndarray, alpha2: float) -> np.ndarray:
     """Post-cancellation SINR per user for arrays shaped (..., G, Q, L).

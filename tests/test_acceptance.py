@@ -21,7 +21,6 @@ from vccsat.channel import (
     DynamicScenario,
     sample_channel_array,
     estimation_noise,
-    snr_ave_db,
     substream,
 )
 from vccsat.cli import main as cli_main
@@ -69,14 +68,12 @@ def test_c01_moment_oracles():
     failures = []
     slowest = 0.0
     for name, l_antennas, sigma_e2 in product(SCENARIOS, (8, 16), (0.0, 0.125)):
-        params = SCENARIOS[name]
+        config = make_config(name, l_antennas=l_antennas, sigma_e2=sigma_e2)
         start = time.time()
-        moments = experiments.mc_moment_oracle(
-            params, sigma_e2, l_antennas, trials=1_000_000, seed=0, workers=WORKERS
-        )
+        moments = experiments.mc_moment_oracle(config, trials=1_000_000, seed=0, workers=WORKERS)
         elapsed = time.time() - start
         slowest = max(slowest, elapsed)
-        cf = analysis.xi_moments_closed_form(params, sigma_e2, l_antennas)
+        cf = analysis.xi_moments_closed_form(config)
         for label, (mc_val, se), cf_val in zip(cf._fields, moments, cf):
             sigmas = abs(mc_val - cf_val) / se
             if sigmas > 3.0:
@@ -163,13 +160,14 @@ def test_c04_snr_offsets():
     """Average-SNR dB offsets match the reported -9.0 / +0.4 / +2.1 within
     0.05 dB."""
     targets = {"FHS": -9.0, "AS": 0.4, "ILS": 2.1}
-    gaps = {name: abs(snr_ave_db(1.0, SCENARIOS[name]) - t) for name, t in targets.items()}
+    offsets = {name: make_config(name, p_t=1.0).snr_ave_db for name in targets}
+    gaps = {name: abs(offsets[name] - t) for name, t in targets.items()}
     failures = [f"{n}: off by {g:.3f} dB" for n, g in gaps.items() if g > 0.05]
     ok = report(
         4,
         "average-SNR offsets (+-0.05 dB)",
         not failures,
-        ", ".join(f"{n}={snr_ave_db(1.0, SCENARIOS[n]):+.3f}dB" for n in targets),
+        ", ".join(f"{n}={offsets[n]:+.3f}dB" for n in targets),
     )
     assert ok, failures
 
@@ -250,7 +248,7 @@ def test_c08_interference_term_identity():
         product_form = (
             analysis.alpha2_closed_form(config)
             * (config.q_mux - 1)
-            * analysis.xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas).xi2
+            * analysis.xi_moments_closed_form(config).xi2
         )
         term = analysis.intra_interference_term(config)
         if abs(product_form - term) > 1e-12 * term:

@@ -74,26 +74,26 @@ class TestAlpha2:
 class TestXiMoments:
     def test_xi2_perfect_csit(self):
         p = SCENARIOS["ILS"]
-        moments = xi_moments_closed_form(p, 0.0, 8)
-        assert moments.xi2 == pytest.approx(8 * p.mean_element_power**2)
+        moments = xi_moments_closed_form(make_config(shadowing=p, sigma_e2=0.0, l_antennas=8))
+        assert moments.xi2 == pytest.approx(8 * p.element_power() ** 2)
 
     def test_xi1_rayleigh_limit(self):
         # omega = 0: xi1 = 4 beta^2 L (L + 1)
         p = ShadowingParams(m=1.0, beta=0.35, omega=0.0)
         for l_antennas in (1, 4, 9):
-            moments = xi_moments_closed_form(p, 0.1, l_antennas)
+            moments = xi_moments_closed_form(make_config(shadowing=p, sigma_e2=0.1, l_antennas=l_antennas))
             assert moments.xi1 == pytest.approx(4 * 0.35**2 * l_antennas * (l_antennas + 1))
 
     def test_desired_moment_extends_xi1(self):
         p = SCENARIOS["AS"]
-        moments = xi_moments_closed_form(p, 0.125, 8)
-        assert moments.desired == pytest.approx(moments.xi1 + 0.125 * 8 * p.mean_element_power)
+        moments = xi_moments_closed_form(make_config(shadowing=p, sigma_e2=0.125, l_antennas=8))
+        assert moments.desired == pytest.approx(moments.xi1 + 0.125 * 8 * p.element_power())
 
     @given(config=config_strategy)
     @settings(max_examples=50, deadline=None)
     def test_xi1_jensen_lower_bound(self, config):
-        moments = xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas)
-        mean_norm2 = config.l_antennas * config.shadowing.mean_element_power
+        moments = xi_moments_closed_form(config)
+        mean_norm2 = config.l_antennas * config.shadowing.element_power()
         assert moments.xi1 >= mean_norm2**2 - 1e-9
 
 
@@ -102,7 +102,7 @@ class TestAvgSumRate:
         config = make_config(g_groups=1, q_mux=1)
         a2 = alpha2_closed_form(config)
         expected = config.xi * np.log2(
-            1 + a2 * xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas).desired
+            1 + a2 * xi_moments_closed_form(config).desired
         )
         assert avg_sum_rate_closed_form(config) == pytest.approx(expected, rel=1e-12)
 
@@ -131,7 +131,7 @@ class TestIntraInterferenceTerm:
         product = (
             alpha2_closed_form(config)
             * (config.q_mux - 1)
-            * xi_moments_closed_form(config.shadowing, config.sigma_e2, config.l_antennas).xi2
+            * xi_moments_closed_form(config).xi2
         )
         term = intra_interference_term(config)
         assert abs(product - term) <= 1e-12 * term

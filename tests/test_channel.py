@@ -15,9 +15,9 @@ from vccsat.channel import (
     sample_channel_array,
     sample_dynamic_channel_array,
     scenario,
-    snr_ave_db,
     substream,
 )
+from vccsat.linkphy import SystemConfig
 
 
 def se_of_mean(samples):
@@ -55,11 +55,11 @@ class TestShadowingParams:
             ShadowingParams(m, beta, omega)
 
     def test_mean_element_power(self):
-        assert SCENARIOS["AS"].mean_element_power == pytest.approx(1.087)
+        assert SCENARIOS["AS"].element_power() == pytest.approx(1.087)
 
     def test_estimated_statistics_add_error_to_scatter(self):
         assert SCENARIOS["AS"].element_power(0.125) == pytest.approx(1.087 + 0.125)
-        assert SCENARIOS["AS"].element_power() == SCENARIOS["AS"].mean_element_power
+        assert SCENARIOS["AS"].element_power() == 2 * 0.126 + 0.835
 
 
 def los_amplitudes(m, omega, rng, size):
@@ -267,7 +267,7 @@ class TestDynamicChannel:
         rng = np.random.default_rng(0)
         h = sample_dynamic_channel_array(scen, np.full(50_000, 90.0), 1, rng)
         p = np.abs(h[:, 0]) ** 2
-        target = scen.los_params.mean_element_power
+        target = scen.los_params.element_power()
         assert abs(p.mean() - target) <= 3 * se_of_mean(p)
 
     def test_huge_eta_always_nlos(self):
@@ -275,7 +275,7 @@ class TestDynamicChannel:
         rng = np.random.default_rng(1)
         h = sample_dynamic_channel_array(scen, np.full(50_000, 45.0), 1, rng)
         p = np.abs(h[:, 0]) ** 2
-        target = scen.nlos_params.mean_element_power
+        target = scen.nlos_params.element_power()
         assert abs(p.mean() - target) <= 3 * se_of_mean(p)
 
     def test_branch_frequency_matches_probability(self):
@@ -301,7 +301,7 @@ class TestDynamicChannel:
         rng = np.random.default_rng(2)
         hs = sample_dynamic_channel_array(scen, np.full(200_000, elev), 1, rng)
         p = np.abs(hs[:, 0]) ** 2
-        mix = prob * scen.los_params.mean_element_power + (1 - prob) * scen.nlos_params.mean_element_power
+        mix = prob * scen.los_params.element_power() + (1 - prob) * scen.nlos_params.element_power()
         assert abs(p.mean() - mix) <= 3 * se_of_mean(p)
 
     def test_disk_mixture_moment(self):
@@ -339,16 +339,20 @@ class TestDynamicChannel:
         assert disk_mean_los_probability(scen) == pytest.approx(numeric, rel=1e-9)
 
 
+def snr_config(p_t, params):
+    return SystemConfig(l_antennas=8, g_groups=6, q_mux=8, p_t=p_t, shadowing=params)
+
+
 class TestSnrOffsets:
     @pytest.mark.parametrize(
         "name,offset", [("FHS", -9.0), ("AS", 0.4), ("ILS", 2.1)]
     )
     def test_offsets_match_reported_values(self, name, offset):
-        assert snr_ave_db(1.0, SCENARIOS[name]) == pytest.approx(offset, abs=0.05)
+        assert snr_config(1.0, SCENARIOS[name]).snr_ave_db == pytest.approx(offset, abs=0.05)
 
     def test_power_scaling(self):
         p = SCENARIOS["AS"]
-        assert snr_ave_db(100.0, p) == pytest.approx(snr_ave_db(1.0, p) + 20.0)
+        assert snr_config(100.0, p).snr_ave_db == pytest.approx(snr_config(1.0, p).snr_ave_db + 20.0)
 
 
 class TestSubstreams:

@@ -172,6 +172,17 @@ class TestAnalyze:
         assert code == 2
         assert "requires all of m, beta, omega" in err
 
+    def test_rate_that_is_not_finite_rejected_before_any_output(self, capsys):
+        # at 3082 dB the cacheless closed-form rate overflows to inf for q = 2..7
+        code, out, err = run(capsys, "analyze", "--pt-db", "3082", "--gain")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: closed-form rate is not finite (inf)")
+
+    def test_finite_rate_at_huge_power_reported(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--pt-db", "3082")
+        assert code == 0
+        assert "avg_sum_rate    : 50.0194\n" in out
+
     def test_gain_with_q1_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--Q", "1", "--gain")
         assert code == 2
@@ -337,6 +348,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--Q", "1", "--gain", "--trials", "1000")
         assert code == 2
         assert "Q must be >= 2" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--gain"], ["validate", "--G", "1", "--Q", "2"]], ids=["simulate-gain", "validate-g1"]
+    )
+    def test_rate_that_is_not_finite_rejected_before_any_draw(self, capsys, tmp_path, monkeypatch, argv):
+        # the cacheless closed-form rate overflows to inf at 3082 dB
+        def no_draw(*args):
+            raise AssertionError("a substream was drawn")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "substream", no_draw)
+        code, out, err = run(capsys, *argv, "--pt-db", "3082", "--trials", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: closed-form rate is not finite (inf)")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags", [["--q-max", "1"], ["--q-max-baseline", "11"]])
     def test_bad_q_cap_rejected_before_monte_carlo(self, capsys, tmp_path, monkeypatch, flags):

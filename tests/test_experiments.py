@@ -48,7 +48,7 @@ ESTIMATORS = [
     pytest.param(lambda trials, workers: mc_sum_rate(make_config(), trials, 5, workers), id="mc_sum_rate"),
     pytest.param(lambda trials, workers: mc_transmit_power(make_config(), trials, 5, workers), id="mc_transmit_power"),
     pytest.param(
-        lambda trials, workers: mc_moment_oracle(SCENARIOS["AS"], 0.125, 8, trials, 5, workers), id="mc_moment_oracle"
+        lambda trials, workers: mc_moment_oracle(make_config(), trials, 5, workers), id="mc_moment_oracle"
     ),
     pytest.param(
         lambda trials, workers: mc_gain_table(make_config(), [1.0, 10.0], 4, 4, trials, 5, workers), id="mc_gain_table"
@@ -200,7 +200,7 @@ class TestEstimatorBehaviour:
         with pytest.raises(ValueError):
             mc_sum_rate(make_config(), trials=50)
         with pytest.raises(ValueError):
-            mc_moment_oracle(SCENARIOS["AS"], 0.125, 8, trials=5000)
+            mc_moment_oracle(make_config(), trials=5000)
         with pytest.raises(ValueError):
             mc_transmit_power(make_config(), trials=50)
 
@@ -211,10 +211,6 @@ class TestEstimatorBehaviour:
         with pytest.raises(ValueError, match="sigma_e2"):
             estimation_noise((2,), sigma_e2, rng)
         assert rng.bit_generator.state == state
-        with pytest.raises(ValueError, match="sigma_e2"):
-            xi_moments_closed_form(SCENARIOS["AS"], sigma_e2, 8)
-        with pytest.raises(ValueError, match="sigma_e2"):
-            mc_moment_oracle(SCENARIOS["AS"], sigma_e2, 8, trials=10_000)
 
     def test_rate_matches_closed_form_at_operating_point(self):
         # moderate-SNR cell where the log-of-means approximation is tight
@@ -244,17 +240,16 @@ class TestEstimatorBehaviour:
 
 class TestMomentOracle:
     def test_moments_match_closed_forms(self):
-        params = SCENARIOS["FHS"]
-        xi1, xi2, desired = mc_moment_oracle(params, 0.125, 8, trials=200_000, seed=7)
-        cf = xi_moments_closed_form(params, 0.125, 8)
+        config = make_config(shadowing=SCENARIOS["FHS"], sigma_e2=0.125, l_antennas=8)
+        xi1, xi2, desired = mc_moment_oracle(config, trials=200_000, seed=7)
+        cf = xi_moments_closed_form(config)
         assert abs(xi1.mean - cf.xi1) <= 3 * xi1.std_error
         assert abs(xi2.mean - cf.xi2) <= 3 * xi2.std_error
         assert abs(desired.mean - cf.desired) <= 3 * desired.std_error
 
     def test_zero_channel_gives_zero_moments(self):
-        from vccsat.channel import ShadowingParams
-
-        moments = mc_moment_oracle(ShadowingParams(1.0, 0.0, 0.0), 0.0, 4, trials=10_000, seed=0)
+        config = make_config(shadowing=ShadowingParams(1.0, 0.0, 0.0), sigma_e2=0.0, l_antennas=4)
+        moments = mc_moment_oracle(config, trials=10_000, seed=0)
         assert [m.mean for m in moments] == [0.0, 0.0, 0.0]
 
 
@@ -392,7 +387,7 @@ class TestOracleSuite:
         # the transmitter by 11%, which the conditioned contract must catch
         # at validate's operating point and benchmark trial count
         monkeypatch.setattr(
-            ShadowingParams, "element_power", lambda self, sigma_e2=0.0: self.mean_element_power
+            ShadowingParams, "element_power", lambda self, sigma_e2=0.0: 2.0 * self.beta + self.omega
         )
         config = make_config(q_mux=8, p_t=10**1.81)
         checks = oracle_suite(config, trials=8192, seed=0)
@@ -433,7 +428,7 @@ class TestOracleSuite:
 
         seen = []
 
-        def spy(params, sigma_e2, l_antennas, trials, seed, workers):
+        def spy(config, trials, seed, workers):
             seen.append(trials)
             raise Stop
 
@@ -442,7 +437,10 @@ class TestOracleSuite:
             oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=trials, seed=0)
         assert seen == [moment_trials]
 
-    def test_mixture_rejected_with_value_error(self):
+    def test_mixture_rejected_with_value_error(self, monkeypatch):
+        monkeypatch.setattr(experiments, "substream", _no_draw)
         config = make_config(shadowing=DynamicScenario())
         with pytest.raises(ValueError, match="no closed-form"):
             oracle_suite(config, trials=1000, seed=0)
+        with pytest.raises(ValueError, match="DynamicScenario has no moment oracle"):
+            mc_moment_oracle(config, trials=10_000, seed=0)

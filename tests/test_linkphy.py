@@ -53,7 +53,8 @@ class TestSystemConfig:
         assert make_config().n_users == 24
 
     @pytest.mark.parametrize(
-        "field,value", [("p_t", np.inf), ("p_t", np.nan), ("sigma_e2", np.inf), ("sigma_e2", np.nan)]
+        "field,value",
+        [("p_t", np.inf), ("p_t", np.nan), ("sigma_e2", np.inf), ("sigma_e2", np.nan), ("sigma_e2", -0.1)],
     )
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
