@@ -15,6 +15,7 @@ from .analysis import (
     avg_sum_rate_closed_form,
     effective_gain_closed_form,
     intra_interference_term,
+    q_optimised_gain,
     xi_moments_closed_form,
 )
 from .caching import CacheLayout, DeliverySchedule, build_schedule, verify_completeness
@@ -29,7 +30,6 @@ from .channel import (
 )
 from .experiments import (
     Estimate,
-    SweepRow,
     mc_gain_table,
     mc_moment_oracle,
     mc_sum_rate,

@@ -129,15 +129,22 @@ def gain_q_grid(q_max: int) -> range:
     return range(2, q_max + 1)
 
 
-def best_rate_closed_form(config: SystemConfig, q_max: int) -> tuple[int, float]:
-    """Maximise the closed-form rate over q in {2..q_max}; ties go to the
-    smaller q (lower CSI overhead at equal rate)."""
-    best_q, best_rate = 0, -np.inf
-    for q in gain_q_grid(q_max):
-        rate = avg_sum_rate_closed_form(replace(config, q_mux=q))
-        if rate > best_rate:
-            best_q, best_rate = q, rate
-    return best_q, best_rate
+def q_optimised_gain(q_vcc, rates_vcc, q_base, rates_base, se_vcc=None, se_base=None) -> GainResult:
+    """The gain of caching from each side's rates (and, if given, their
+    standard errors), indexed like that side's ascending q grid.  Each side
+    takes its largest rate, ties going to the smaller q (lower CSI overhead
+    at equal rate), and the gain is their ratio.  A baseline whose best rate
+    is not positive (log2(1 + SINR) rounds to 0 at tiny powers) is rejected."""
+    vi, bi = int(np.argmax(rates_vcc)), int(np.argmax(rates_base))
+    rate_v, rate_b = float(rates_vcc[vi]), float(rates_base[bi])
+    if not rate_b > 0:
+        raise ValueError(f"the baseline's best rate is {rate_b}, so the gain is undefined")
+    gain = rate_v / rate_b
+    if se_vcc is None:
+        return GainResult(gain, q_vcc[vi], q_base[bi], rate_v, rate_b)
+    se_v, se_b = float(se_vcc[vi]), float(se_base[bi])
+    gain_se = abs(gain) * np.hypot(se_v / rate_v, se_b / rate_b)
+    return GainResult(gain, q_vcc[vi], q_base[bi], rate_v, rate_b, se_v, se_b, gain_se)
 
 
 def effective_gain_closed_form(
@@ -145,12 +152,8 @@ def effective_gain_closed_form(
 ) -> GainResult:
     """Ratio of Q-optimised rates: caching (g_groups from config) over the
     cacheless baseline (g_groups = 1), each optimised on its own q grid."""
-    q_vcc, rate_vcc = best_rate_closed_form(config, q_max)
-    q_base, rate_base = best_rate_closed_form(replace(config, g_groups=1), q_max_baseline)
-    return GainResult(
-        gain=rate_vcc / rate_base,
-        best_q_vcc=q_vcc,
-        best_q_baseline=q_base,
-        rate_vcc=rate_vcc,
-        rate_baseline=rate_base,
-    )
+    qs_vcc = gain_q_grid(q_max)
+    rates_vcc = [avg_sum_rate_closed_form(replace(config, q_mux=q)) for q in qs_vcc]
+    qs_base = gain_q_grid(q_max_baseline)
+    rates_base = [avg_sum_rate_closed_form(replace(config, g_groups=1, q_mux=q)) for q in qs_base]
+    return q_optimised_gain(qs_vcc, rates_vcc, qs_base, rates_base)

@@ -367,27 +367,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     seed, trials, workers = values["seed"], values["trials"], values["workers"]
 
+    pt_values = [10.0 ** (v / 10.0) for v in FIGURE_PT_GRID_DB]
     outputs = []
     manifest_name = f"fig{args.figure}_manifest.json"
     for name, label, cap, config in curves:
         offset = config.snr_ave_db  # the template's p_t is 1
+        gains = experiments.sweep(config, pt_values, cap, trials, seed, workers, monte_carlo=not args.analytic_only)
         # a curve without a closed form (the LOS/NLOS mixture) leaves its
         # analytic columns empty
         rows = []
-        for r in experiments.sweep(
-            config,
-            FIGURE_PT_GRID_DB,
-            q_max=cap,
-            trials=trials,
-            seed=seed,
-            workers=workers,
-            monte_carlo=not args.analytic_only,
-        ):
-            best = r.mc or r.analytic
+        for pt_db, (analytic, mc) in zip(FIGURE_PT_GRID_DB, gains):
+            best = mc or analytic
             rows.append(
                 {
-                    "pt_db": r.pt_db,
-                    "snr_ave_db": r.pt_db + offset,
+                    "pt_db": pt_db,
+                    "snr_ave_db": pt_db + offset,
                     "scenario": label,
                     "L": config.l_antennas,
                     "G": config.g_groups,
@@ -395,9 +389,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
                     "Q_best_base": getattr(best, "best_q_baseline", None),
                     "rate_vcc": getattr(best, "rate_vcc", None),
                     "rate_base": getattr(best, "rate_baseline", None),
-                    "gain_analytic": getattr(r.analytic, "gain", None),
-                    "gain_mc": getattr(r.mc, "gain", None),
-                    "mc_stderr": getattr(r.mc, "gain_stderr", None),
+                    "gain_analytic": getattr(analytic, "gain", None),
+                    "gain_mc": getattr(mc, "gain", None),
+                    "mc_stderr": getattr(mc, "gain_stderr", None),
                     "seed": seed,
                 }
             )

@@ -66,28 +66,35 @@ def _estimate(
     Batch j of `BATCH_TRIALS` trials draws from `substream(seed, stream, j)`,
     on a pool of `workers` threads if more than one.  Each batch's sum and
     sum of squares are added in batch order, so the result does not depend
-    on the worker count."""
+    on the worker count.  An overflow or invalid value, in a batch or in
+    their total, raises `ValueError`."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     def batch(j: int) -> np.ndarray:
-        x = samples(substream(seed, stream, j), min(BATCH_TRIALS, trials - j * BATCH_TRIALS))
-        return np.stack([x.sum(axis=-1), (x * x).sum(axis=-1)])
+        # set per batch: a pool thread does not inherit the caller's errstate
+        with np.errstate(over="raise", invalid="raise"):
+            x = samples(substream(seed, stream, j), min(BATCH_TRIALS, trials - j * BATCH_TRIALS))
+            return np.stack([x.sum(axis=-1), (x * x).sum(axis=-1)])
 
     batches = range(-(-trials // BATCH_TRIALS))
-    # one worker runs the batches here rather than on a one-thread pool: the
-    # bits are the same, but a pool raised validate's peak RSS from 76 to
-    # 103-117 MiB (likely the pool thread's own malloc arena; not verified)
-    if workers == 1:
-        parts = [batch(j) for j in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(batch, batches))
-    sums, sumsq = sum(parts[1:], parts[0])
-    mean = sums / trials
-    var = np.maximum(sumsq - trials * mean**2, 0.0) / (trials - 1)
+    try:
+        # one worker runs the batches here rather than on a one-thread pool:
+        # the bits are the same, but a pool raised validate's peak RSS from 76
+        # to 103-117 MiB (likely the pool thread's own malloc arena; not verified)
+        if workers == 1:
+            parts = [batch(j) for j in batches]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(batch, batches))
+        with np.errstate(over="raise", invalid="raise"):
+            sums, sumsq = sum(parts[1:], parts[0])
+            mean = sums / trials
+            var = np.maximum(sumsq - trials * mean**2, 0.0) / (trials - 1)
+    except FloatingPointError as exc:
+        raise ValueError(f"Monte Carlo values are not finite ({exc}); is p_t too large?") from None
     return mean, np.sqrt(var / trials)
 
 
@@ -233,32 +240,16 @@ def mc_gain_table(
     The same seed (hence the same channel realisations) is shared by every
     grid point of one side, so the argmax over q is not noise-driven.
     """
-    qs_vcc = list(analysis.gain_q_grid(q_max))
-    qs_base = list(analysis.gain_q_grid(q_max_baseline))
+    qs_vcc = analysis.gain_q_grid(q_max)
+    qs_base = analysis.gain_q_grid(q_max_baseline)
     v_mean, v_se = _rate_table_raw(config, qs_vcc, pt_values, trials, seed, workers, _STREAM_RATE)
     b_mean, b_se = _rate_table_raw(
         replace(config, g_groups=1), qs_base, pt_values, trials, seed, workers, _STREAM_BASELINE
     )
-    results = []
-    for pi in range(len(pt_values)):
-        vi = int(np.argmax(v_mean[pi]))
-        bi = int(np.argmax(b_mean[pi]))
-        rate_v, se_v = float(v_mean[pi, vi]), float(v_se[pi, vi])
-        rate_b, se_b = float(b_mean[pi, bi]), float(b_se[pi, bi])
-        gain = rate_v / rate_b
-        results.append(
-            analysis.GainResult(
-                gain=gain,
-                best_q_vcc=qs_vcc[vi],
-                best_q_baseline=qs_base[bi],
-                rate_vcc=rate_v,
-                rate_baseline=rate_b,
-                rate_vcc_stderr=se_v,
-                rate_baseline_stderr=se_b,
-                gain_stderr=abs(gain) * np.hypot(se_v / rate_v, se_b / rate_b),
-            )
-        )
-    return results
+    return [
+        analysis.q_optimised_gain(qs_vcc, v, qs_base, b, se_v, se_b)
+        for v, b, se_v, se_b in zip(v_mean, b_mean, v_se, b_se)
+    ]
 
 
 def mc_moment_oracle(
@@ -299,37 +290,28 @@ def mc_moment_oracle(
 # Power sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One transmit power of a gain sweep: the closed-form and Monte Carlo
-    Q-optimised gains, None where not evaluated."""
-
-    pt_db: float
-    analytic: analysis.GainResult | None
-    mc: analysis.GainResult | None
-
-
 def sweep(
     config: SystemConfig,
-    pt_db_values: Sequence[float],
+    pt_values: Sequence[float],
     q_max: int = 8,
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
     monte_carlo: bool = True,
-) -> list[SweepRow]:
+) -> list[tuple[analysis.GainResult | None, analysis.GainResult | None]]:
     """Closed-form and (unless `monte_carlo` is false) Monte Carlo
-    Q-optimised gain at each transmit power in dB, with q capped at `q_max`
-    on both sides.
+    Q-optimised gain at each linear transmit power, with q capped at `q_max`
+    on both sides, as one `(analytic, mc)` pair per power; None where not
+    evaluated.
 
     The closed form is evaluated only for a `ShadowingParams` channel; the
-    LOS/NLOS mixture has none, so its rows carry None.  Every error
-    propagates.  The Monte Carlo side is one `mc_gain_table` pass, so one set
-    of channel draws serves the whole grid (power only rescales alpha^2).
+    LOS/NLOS mixture has none.  Every error propagates.  The Monte Carlo side
+    is one `mc_gain_table` pass, so one set of channel draws serves the whole
+    grid (power only rescales alpha^2).
     """
-    if len(pt_db_values) == 0:
+    if len(pt_values) == 0:
         raise ValueError("sweep grid must be nonempty")
-    configs = [replace(config, p_t=10.0 ** (float(v) / 10.0)) for v in pt_db_values]
+    configs = [replace(config, p_t=float(p)) for p in pt_values]
     analytic = [
         analysis.effective_gain_closed_form(cfg, q_max, q_max)
         if isinstance(config.shadowing, ShadowingParams)
@@ -341,7 +323,7 @@ def sweep(
         if monte_carlo
         else [None] * len(configs)
     )
-    return [SweepRow(pt_db=float(v), analytic=a, mc=m) for v, a, m in zip(pt_db_values, analytic, mc)]
+    return list(zip(analytic, mc))
 
 
 # ---------------------------------------------------------------------------

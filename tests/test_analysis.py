@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from vccsat.analysis import (
     alpha2_closed_form,
     avg_sum_rate_closed_form,
-    best_rate_closed_form,
     effective_gain_closed_form,
     intra_interference_term,
+    q_optimised_gain,
     xi_moments_closed_form,
 )
 from vccsat.channel import SCENARIOS, ShadowingParams
@@ -162,9 +162,25 @@ class TestEffectiveGain:
         res = effective_gain_closed_form(make_config(), q_max=8, q_max_baseline=8)
         assert res.gain == pytest.approx(res.rate_vcc / res.rate_baseline)
 
-    def test_tie_break_prefers_smaller_q(self):
-        q, _ = best_rate_closed_form(make_config(), q_max=2)
-        assert q == 2
+    @pytest.mark.parametrize("with_se", [False, True], ids=["closed-form", "monte-carlo"])
+    def test_ties_go_to_the_smaller_q(self, with_se):
+        # VCC ties at q = 3 and 5, the baseline at q = 2 and 4
+        q_vcc, rates_vcc = [2, 3, 4, 5], [1.0, 6.0, 2.0, 6.0]
+        q_base, rates_base = range(2, 5), np.array([2.0, 1.0, 2.0])
+        ses = ([0.1, 0.2, 0.3, 0.4], np.array([0.05, 0.06, 0.07])) if with_se else ()
+        res = q_optimised_gain(q_vcc, rates_vcc, q_base, rates_base, *ses)
+        assert (res.best_q_vcc, res.best_q_baseline) == (3, 2)
+        assert (res.rate_vcc, res.rate_baseline, res.gain) == (6.0, 2.0, 3.0)
+        if with_se:
+            assert (res.rate_vcc_stderr, res.rate_baseline_stderr) == (0.2, 0.05)
+            assert res.gain_stderr == abs(res.gain) * np.hypot(0.2 / 6.0, 0.05 / 2.0)
+        else:
+            assert res.rate_vcc_stderr is res.rate_baseline_stderr is res.gain_stderr is None
+
+    @pytest.mark.parametrize("best_baseline", [0.0, -1.0, float("nan")])
+    def test_baseline_without_positive_rate_rejected(self, best_baseline):
+        with pytest.raises(ValueError, match="baseline's best rate is .*, so the gain is undefined"):
+            q_optimised_gain([2, 3], [1.0, 2.0], [2, 3], [best_baseline, best_baseline])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

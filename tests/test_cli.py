@@ -183,6 +183,29 @@ class TestAnalyze:
         assert code == 0
         assert "avg_sum_rate    : 50.0194\n" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--pt-db", "-3000", "--gain"],
+            ["analyze", "--pt-linear", "1e-320", "--gain"],
+            ["simulate", "--pt-db", "-400", "--gain", "--trials", "100"],
+        ],
+        ids=["analyze-db", "analyze-linear", "simulate"],
+    )
+    def test_underflowing_baseline_rate_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        # the closed form's log2(1 + x) is exactly 0 once x is below machine
+        # epsilon, and a gain over a zero baseline rate is undefined
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the baseline's best rate is 0.0, so the gain is undefined\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_underflowing_rate_reported(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--pt-db", "-3000")
+        assert code == 0
+        assert "avg_sum_rate    : 0\n" in out
+
     def test_gain_with_q1_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--Q", "1", "--gain")
         assert code == 2
@@ -362,6 +385,27 @@ class TestSimulate:
         code, out, err = run(capsys, *argv, "--pt-db", "3082", "--trials", "100")
         assert (code, out) == (2, "")
         assert err.startswith("error: closed-form rate is not finite (inf)")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--pt-db", "3082", "--trials", "1000"],
+            ["simulate", "--pt-db", "3082", "--trials", "1000"],
+            # every batch's sums are finite, but their total overflows
+            ["simulate", "--pt-db", "1520", "--trials", "20000"],
+        ],
+        ids=["validate", "simulate", "simulate-batch-total"],
+    )
+    def test_overflowing_monte_carlo_rejected(self, capsys, tmp_path, monkeypatch, argv, workers):
+        # the closed-form rate is finite, but alpha^2 times a trial's signal
+        # or estimate power overflows; RuntimeWarnings fail the test
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Monte Carlo values are not finite (overflow encountered in ")
+        assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags", [["--q-max", "1"], ["--q-max-baseline", "11"]])

@@ -9,6 +9,7 @@ from vccsat import experiments
 from vccsat.analysis import (
     alpha2_closed_form,
     avg_sum_rate_closed_form,
+    effective_gain_closed_form,
     xi_moments_closed_form,
 )
 from vccsat.channel import SCENARIOS, DynamicScenario, ShadowingParams, estimation_noise, substream
@@ -306,10 +307,10 @@ class TestGainEstimation:
     def test_gain_sweep_tracks_closed_form_within_tolerance(self):
         # Q-optimised gains: analytic vs Monte Carlo per grid point
         config = make_config(q_mux=2)
-        rows = sweep(config, [0.0, 9.0, 18.0], trials=50_000, seed=0, workers=2)
-        for row in rows:
-            assert row.analytic is not None
-            assert abs(row.analytic.gain - row.mc.gain) / row.mc.gain <= 0.05
+        pairs = sweep(config, [1.0, 10**0.9, 10**1.8], trials=50_000, seed=0, workers=2)
+        for analytic, mc in pairs:
+            assert analytic is not None
+            assert abs(analytic.gain - mc.gain) / mc.gain <= 0.05
 
 
 class TestDynamicGain:
@@ -326,17 +327,17 @@ class TestDynamicGain:
 
 class TestSweep:
     def test_single_point_grid(self):
-        rows = sweep(make_config(), [10.0], monte_carlo=False)
-        assert len(rows) == 1
-        assert rows[0].pt_db == 10.0
-        assert rows[0].analytic is not None and rows[0].mc is None
-        assert rows[0].analytic.gain > 1
+        pairs = sweep(make_config(), [10.0], monte_carlo=False)
+        assert len(pairs) == 1
+        analytic, mc = pairs[0]
+        assert analytic is not None and mc is None
+        assert analytic.gain > 1
 
     def test_closed_form_on_mixture_recorded_in_row(self):
-        # the LOS/NLOS mixture has no closed form, so its rows carry None
+        # the LOS/NLOS mixture has no closed form, so its pairs carry None
         config = make_config(shadowing=DynamicScenario())
-        rows = sweep(config, [10.0], monte_carlo=False)
-        assert rows[0].analytic is None
+        pairs = sweep(config, [10.0], monte_carlo=False)
+        assert pairs[0] == (None, None)
 
     def test_closed_form_error_propagates(self):
         # q = 7 needs 6*7*12 = 504 pilot symbols, more than T = 500
@@ -346,11 +347,13 @@ class TestSweep:
 
     def test_power_sweep_fast_path_matches_per_point_calls(self):
         config = make_config()
-        rows = sweep(config, [3.0, 12.0], q_max=4, trials=4000, seed=13)
-        for row in rows:
-            cfg = replace(config, p_t=10 ** (row.pt_db / 10))
+        pt_values = [10**0.3, 10**1.2]
+        pairs = sweep(config, pt_values, q_max=4, trials=4000, seed=13)
+        for pt, (analytic, mc) in zip(pt_values, pairs):
+            cfg = replace(config, p_t=pt)
             direct = mc_gain_table(cfg, [cfg.p_t], q_max=4, q_max_baseline=4, trials=4000, seed=13)[0]
-            assert row.mc.gain == direct.gain
+            assert mc == direct
+            assert analytic == effective_gain_closed_form(cfg, 4, 4)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
