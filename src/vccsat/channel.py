@@ -23,7 +23,10 @@ derive named, order-independent generators from one master seed.  The bits
 a seed gives are named by `STREAM_VERSION`, which every seeded manifest
 records: 1 was the float64 libm phasor, 2 the float32 one, with the same
 random draws; 3 conditioned the power contract on the estimate, same draws;
-4 has the power contracts read the rate draw, same draws.
+4 has the power contracts read the rate draw, same draws; 5 reads the
+moments from the operating point's draw, two users per group wide at Q = 1
+(`mc_moment_oracle` is a G = 1, Q = 2 operating point), so only the moments
+and Q = 1 operating points move.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # version of the numbers a seed produces; bumped by any change that moves them
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ j) and partial sums are combined in batch-index order, so results are
 bit-identical for a given seed at any worker count.  Channel draws are reused
 across a q grid (the draw width is the largest q) and across transmit-power
 grids (power only rescales alpha^2), which also pins the Q argmax to one set
-of realisations.  At one operating point, the rate and both transmit-power
-contracts read the same draw (`_operating_point`).
+of realisations.  At one operating point, the rate, both transmit-power
+contracts and the three channel moments read the same draw
+(`_operating_point`), so `validate` makes one draw and the moment oracle is
+that estimator at G = 1, Q = 2.
 
 Within a batch the CSIT estimates exist only per chunk of `CHUNK_TRIALS`
 trials: the channel is drawn for the whole batch, then each chunk's
@@ -27,12 +29,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import analysis
-from .channel import (
-    ShadowingParams,
-    estimation_noise,
-    sample_channel_array,
-    substream,
-)
+# unused here, but perfbench/tests/test_perfbench_tracer.py checks that the
+# tracer rebinds it in this module
+from .channel import ShadowingParams, estimation_noise, sample_channel_array, substream  # noqa: F401
 from .linkphy import SystemConfig
 
 BATCH_TRIALS = 4096  # fixed: changing it changes the draw stream
@@ -41,11 +40,10 @@ BATCH_TRIALS = 4096  # fixed: changing it changes the draw stream
 CHUNK_TRIALS = 512
 
 # stream tags keep the independent estimators on disjoint substreams: the
-# rate grid and the operating point (rate and power), the gain's baseline
-# side, and the moment oracle
+# rate grid and the operating point (rate, power and moments), and the
+# gain's baseline side
 _STREAM_RATE = 0
 _STREAM_BASELINE = 1
-_STREAM_MOMENTS = 2
 
 _INV_LN2 = 1.0 / np.log(2.0)
 
@@ -116,10 +114,11 @@ def _chunks(
         yield a, h_chunk, h_hat
 
 
-def _rate_kernel(config: SystemConfig, q_grid: list[int], pt_values: list[float]) -> Callable[..., None]:
+def _rate_kernel(config: SystemConfig, q_grid: list[int], pt_values: list[float]) -> Callable[..., np.ndarray]:
     """Validate a (pt, q) rate grid and return `rates(h, h_hat, out)`, which
     writes one chunk's per-trial effective sum rates of every cell into
-    `out`, shaped (pt, q, chunk), and conjugates `h_hat` in place."""
+    `out`, shaped (pt, q, chunk), conjugates `h_hat` in place and returns the
+    Gram powers |h_gb^T hhat_gc^*|^2, shaped (chunk, G, width, width)."""
     if not q_grid or not pt_values:
         raise ValueError(f"rate grid must be nonempty, got {len(pt_values)} powers and {len(q_grid)} q values")
     # validate every cell up front; alpha2 and xi depend on (pt, q) only
@@ -133,7 +132,7 @@ def _rate_kernel(config: SystemConfig, q_grid: list[int], pt_values: list[float]
     # alpha2 of q index qi for every power, shaped to broadcast over (P, chunk, G, q)
     alpha2_b = alpha2[:, :, None, None, None]
 
-    def rates(h: np.ndarray, h_hat: np.ndarray, out: np.ndarray) -> None:
+    def rates(h: np.ndarray, h_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul
         inner = h @ np.conjugate(h_hat, out=h_hat).swapaxes(-1, -2)
         power = inner.real**2 + inner.imag**2
@@ -151,6 +150,7 @@ def _rate_kernel(config: SystemConfig, q_grid: list[int], pt_values: list[float]
             np.divide(sinr, denominator, out=sinr)
             np.log1p(sinr, out=sinr)
             out[:, qi] = xi[qi] * _INV_LN2 * sinr.sum(axis=(2, 3))
+        return power
 
     return rates
 
@@ -182,29 +182,43 @@ def _rate_table_raw(
 
 
 def _operating_point(config: SystemConfig, trials: int, seed: int, workers: int) -> tuple[Estimate, ...]:
-    """Effective sum rate, VCC and baseline transmit power at one operating
-    point, from one draw on `_STREAM_RATE`.
+    """Effective sum rate, VCC and baseline transmit power, and the moments
+    xi1, xi2 and desired at one operating point, from one draw on
+    `_STREAM_RATE` of G groups of w = max(Q, 2) users.
 
-    Each power is conditioned on the channel estimate: for unit-power
-    symbols E_s||x||^2 = alpha^2 sum_k ||hhat_k||^2 exactly, which must
-    average to P_t.  The VCC power sums all G groups; the baseline power
-    reads group 0, which is distributed exactly as a G = 1 draw, at the
-    baseline's alpha^2."""
-    rates_of = _rate_kernel(config, [config.q_mux], [config.p_t])
+    The rate and both powers read the first Q users of each group.  Each
+    power is conditioned on the channel estimate: for unit-power symbols
+    E_s||x||^2 = alpha^2 sum_k ||hhat_k||^2 exactly, which must average to
+    P_t.  The VCC power sums all G groups; the baseline power reads group 0,
+    which is distributed exactly as a G = 1 draw, at the baseline's alpha^2.
+
+    Per trial, xi1 is the mean of ||h_k||^4 over the G w users, desired the
+    mean of the Gram diagonal |h_k^T hhat_k^*|^2, and xi2 the mean of its
+    G w (w - 1) off-diagonal entries, each a pair of independent users
+    (hence w >= 2)."""
+    q, width = config.q_mux, max(config.q_mux, 2)
+    rates_of = _rate_kernel(config, [q], [config.p_t])
     alpha2 = analysis.alpha2_closed_form(config)
     alpha2_baseline = analysis.alpha2_closed_form(replace(config, g_groups=1))
 
     def samples(rng: np.random.Generator, n: int) -> np.ndarray:
-        x = np.empty((3, n))
-        for a, h, h_hat in _chunks(config, config.q_mux, rng, n):
+        x = np.empty((6, n))
+        for a, h, h_hat in _chunks(config, width, rng, n):
             trials_c = slice(a, a + len(h))
-            # the real and imaginary parts of each group's estimates, as a view
-            parts = h_hat.reshape(len(h_hat), config.g_groups, -1).view(np.float64)
+            # the real and imaginary parts of each group's estimates (a view
+            # unless Q < w)
+            parts = h_hat[:, :, :q].reshape(len(h_hat), config.g_groups, -1).view(np.float64)
             group_power = np.einsum("ngi,ngi->ng", parts, parts)
             x[1, trials_c] = group_power.sum(axis=1)
             x[2, trials_c] = group_power[:, 0]
+            h_parts = h.view(np.float64)
+            norm2 = np.einsum("ngki,ngki->ngk", h_parts, h_parts)
+            x[3, trials_c] = (norm2 * norm2).mean(axis=(1, 2))
             # row 0 as the one (pt, q) cell of the kernel's output
-            rates_of(h, h_hat, x[None, :1, trials_c])
+            power = rates_of(h, h_hat, x[None, :1, trials_c])
+            diagonal = np.diagonal(power, axis1=2, axis2=3).sum(axis=(1, 2))
+            x[4, trials_c] = (power.sum(axis=(1, 2, 3)) - diagonal) / (config.g_groups * width * (width - 1))
+            x[5, trials_c] = diagonal / (config.g_groups * width)
         x[1] *= alpha2
         x[2] *= alpha2_baseline
         return x
@@ -255,35 +269,12 @@ def mc_gain_table(
 def mc_moment_oracle(
     config: SystemConfig, trials: int = 1_000_000, seed: int = 0, workers: int = 1
 ) -> analysis.Moments:
-    """Empirical counterparts of the closed-form moments, as `Estimate`s.
-
-    xi1 from ||h||^4 samples, xi2 from |h^T hhat'^*|^2 with the estimate of a
-    second, independent user, and the desired-signal moment |h^T hhat^*|^2
-    with the user's own estimate.  Only a `ShadowingParams` channel is drawn:
-    the LOS/NLOS mixture has no closed-form moments to check.
-    """
+    """Empirical counterparts of the closed-form moments, as `Estimate`s:
+    those of the G = 1, Q = 2 operating point at `config`'s channel, power
+    and CSIT error (see `_operating_point`)."""
     if trials < 10_000:
         raise ValueError(f"trials must be >= 10000, got {trials}")
-    if not isinstance(config.shadowing, ShadowingParams):
-        raise ValueError(f"{type(config.shadowing).__name__} has no moment oracle; only ShadowingParams are drawn")
-
-    def samples(rng: np.random.Generator, n: int) -> np.ndarray:
-        h = sample_channel_array(config.shadowing, config.l_antennas, rng, size=(n,))
-        h_hat_own = estimation_noise(h.shape, config.sigma_e2, rng)
-        h_hat_own += h
-        h_other = sample_channel_array(config.shadowing, config.l_antennas, rng, size=(n,))
-        h_hat_other = estimation_noise(h.shape, config.sigma_e2, rng)
-        h_hat_other += h_other
-        norm2 = (h.real**2 + h.imag**2).sum(axis=1)
-        xi1_s = norm2 * norm2
-        own = np.einsum("nl,nl->n", h, h_hat_own.conj())
-        desired_s = own.real**2 + own.imag**2
-        cross = np.einsum("nl,nl->n", h, h_hat_other.conj())
-        xi2_s = cross.real**2 + cross.imag**2
-        return np.stack([xi1_s, xi2_s, desired_s])
-
-    means, ses = _estimate(samples, trials, seed, _STREAM_MOMENTS, workers)
-    return analysis.Moments(*(Estimate(float(m), float(se)) for m, se in zip(means, ses)))
+    return analysis.Moments(*_operating_point(replace(config, g_groups=1, q_mux=2), trials, seed, workers)[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +332,14 @@ def oracle_suite(config: SystemConfig, trials: int = 100_000, seed: int = 0, wor
     """Validate the closed forms at one operating point: the transmit-power
     contract conditioned on the channel estimate, for VCC and for the
     baseline (3 standard errors), xi1/xi2/desired moments (3 standard
-    errors, on ten times `trials` and at least 100,000 trials), the
-    average-rate approximation (5% relative), and the interference-term
-    identity (1e-12, bit-identical across CSIT error).
+    errors), the average-rate approximation (5% relative), and the
+    interference-term identity (1e-12, bit-identical across CSIT error).
 
-    The rate and both power contracts read one draw of the operating point
-    (see `_operating_point`): the baseline's power is that of group 0, which
-    is distributed exactly as a G = 1 draw, so it keeps its own sampling
-    error instead of rescaling the VCC line.
+    Every Monte Carlo line reads one draw of the operating point (see
+    `_operating_point`): the baseline's power is that of group 0, which is
+    distributed exactly as a G = 1 draw, so it keeps its own sampling error
+    instead of rescaling the VCC line, and the moments are those of the
+    draw's G max(Q, 2) users.
 
     The closed forms are evaluated first, so a channel model without
     moments (the LOS/NLOS mixture) or without power, or a rate that is not
@@ -356,11 +347,8 @@ def oracle_suite(config: SystemConfig, trials: int = 100_000, seed: int = 0, wor
     cf = analysis.xi_moments_closed_form(config)
     a2 = analysis.alpha2_closed_form(config)
     cf_rate = analysis.avg_sum_rate_closed_form(config)
-    # the moments are drawn before the operating point: perfbench times a
-    # batch up to its caller's next substream or end, so in the other order
-    # the operating point's last batch would span the whole moment oracle
-    moments = mc_moment_oracle(config, max(trials, 10_000) * 10, seed, workers)
-    rate, *powers = _operating_point(config, trials, seed, workers)
+    point = _operating_point(config, trials, seed, workers)
+    rate, powers, moments = point[0], point[1:3], point[3:]
     checks: list[CheckResult] = []
 
     # both sides target the same P_t

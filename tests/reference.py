@@ -46,3 +46,16 @@ def intra_group_reference(h, h_hat, alpha2, symbols, noise):
     # own-group composite coefficients h_gb^T hhat_gc^*
     coeff = np.einsum("gbl,gcl->gbc", h, h_hat.conj())
     return np.sqrt(alpha2) * np.einsum("gbc,gc->gb", coeff, symbols) + noise
+
+
+def moment_samples(config, rng, n):
+    """n independent samples of the three moments, shape (3, n): ||h||^4 of
+    one user, |h^T hhat'^*|^2 with the estimate of a second, independent
+    user (xi2), and |h^T hhat^*|^2 with the user's own estimate (desired)."""
+    h, h_other = config.shadowing.draw(rng, config.l_antennas, (2, n))
+    h_hat_own = h + estimation_noise(h.shape, config.sigma_e2, rng)
+    h_hat_other = h_other + estimation_noise(h.shape, config.sigma_e2, rng)
+    norm2 = (np.abs(h) ** 2).sum(axis=1)
+    own = np.einsum("nl,nl->n", h, h_hat_own.conj())
+    cross = np.einsum("nl,nl->n", h, h_hat_other.conj())
+    return np.stack([norm2 * norm2, np.abs(cross) ** 2, np.abs(own) ** 2])

@@ -725,3 +725,15 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--trials", "20000")
         assert code == 0
         assert "7/7 checks passed" in out
+
+    @pytest.mark.parametrize("argv, failed", [(["--G", "1"], []), ([], ["rate-approximation"])], ids=["g1-q1", "g6-q1"])
+    def test_single_user_groups_check_every_moment(self, capsys, argv, failed):
+        # at Q = 1 the draw is two users wide, so xi2 still has its pairs of
+        # independent users; at G = 6 the log-of-expectations rate is 5.1%
+        # above Monte Carlo, past its 5% tolerance, at every seed tried
+        code, out, _ = run(capsys, "validate", "--trials", "20000", "--Q", "1", *argv)
+        # "[PASS] name: detail" -> {name: "PASS"}
+        status = {line[7:].split(":")[0]: line[1:5] for line in out.splitlines() if line.startswith("[")}
+        assert [status[f"moment-{m}"] for m in ("xi1", "xi2", "desired")] == ["PASS"] * 3
+        assert [name for name, state in status.items() if state == "FAIL"] == failed
+        assert code == (1 if failed else 0)

@@ -1,10 +1,11 @@
+import inspect
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference import effective_sum_rate, sample_block
+from reference import effective_sum_rate, moment_samples, sample_block
 from vccsat import experiments
 from vccsat.analysis import (
     alpha2_closed_form,
@@ -248,10 +249,28 @@ class TestMomentOracle:
         assert abs(xi2.mean - cf.xi2) <= 3 * xi2.std_error
         assert abs(desired.mean - cf.desired) <= 3 * desired.std_error
 
-    def test_zero_channel_gives_zero_moments(self):
+    def test_zero_channel_rejected_before_any_draw(self, monkeypatch):
+        # the oracle is an operating point, whose power factor needs a
+        # channel of positive mean power
+        monkeypatch.setattr(experiments, "substream", _no_draw)
         config = make_config(shadowing=ShadowingParams(1.0, 0.0, 0.0), sigma_e2=0.0, l_antennas=4)
-        moments = mc_moment_oracle(config, trials=10_000, seed=0)
-        assert [m.mean for m in moments] == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="mean channel power is zero"):
+            mc_moment_oracle(config, trials=10_000, seed=0)
+
+    @pytest.mark.parametrize(
+        "config, trials",
+        [(make_config(q_mux=8, p_t=10**1.81), 8192), (make_config(g_groups=1, q_mux=1, p_t=10**1.81), 50_000)],
+        ids=["validate-point", "g1-q1"],
+    )
+    def test_operating_point_moments_match_two_user_reference(self, config, trials):
+        # the pooled per-trial means of the operating point's draw against
+        # independent samples of one user and a second one, within 4 combined SE
+        moments = experiments._operating_point(config, trials, 3, 1)[3:]
+        samples = moment_samples(config, substream(3, 98), 200_000)
+        ref_mean = samples.mean(axis=1)
+        ref_se = samples.std(axis=1, ddof=1) / np.sqrt(samples.shape[1])
+        for (mean, se), r_mean, r_se in zip(moments, ref_mean, ref_se):
+            assert abs(mean - r_mean) <= 4 * np.hypot(se, r_se), (mean, r_mean)
 
 
 class TestPowerContract:
@@ -399,8 +418,9 @@ class TestOracleSuite:
         assert status["power-contract-baseline"] is False
 
     def test_one_link_draw_per_batch_and_no_baseline_draw(self, monkeypatch):
-        # the rate and both power contracts read the same G = 6 draw, so a
-        # batch opens one link draw and no G = 1 channel is ever drawn
+        # the rate, both power contracts and the moments read the same G = 6
+        # draw, of width max(Q, 2), so the suite opens one link draw per
+        # batch and no G = 1 or moment channel is ever drawn
         draws = []
         chunks = experiments._chunks
 
@@ -409,41 +429,46 @@ class TestOracleSuite:
             return chunks(config, q_width, rng, n)
 
         monkeypatch.setattr(experiments, "_chunks", spy)
-        checks = oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=2 * BATCH_TRIALS + 17, seed=0)
-        assert len(checks) == 7
-        assert draws == [(6, 8, BATCH_TRIALS), (6, 8, BATCH_TRIALS), (6, 8, 17)]
+        for q_mux, width, n_checks in ((8, 8, 7), (1, 2, 6)):
+            draws.clear()
+            checks = oracle_suite(make_config(q_mux=q_mux, p_t=10**1.81), trials=2 * BATCH_TRIALS + 17, seed=0)
+            assert len(checks) == n_checks
+            assert draws == [(6, width, BATCH_TRIALS), (6, width, BATCH_TRIALS), (6, width, 17)]
+
+    def test_xi2_with_the_gram_diagonal_fails(self, monkeypatch):
+        # an xi2 that averages all G w^2 Gram entries, the diagonal (each
+        # user with its own estimate) included, fails only moment-xi2 at
+        # validate's operating point and benchmark trial count
+        source = inspect.getsource(experiments._operating_point)
+        mutated = source.replace(
+            "(power.sum(axis=(1, 2, 3)) - diagonal) / (config.g_groups * width * (width - 1))",
+            "power.sum(axis=(1, 2, 3)) / (config.g_groups * width * width)",
+        )
+        assert mutated != source
+        namespace = dict(vars(experiments))
+        exec(mutated, namespace)
+        monkeypatch.setattr(experiments, "_operating_point", namespace["_operating_point"])
+        checks = oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=8192, seed=0)
+        assert [c.name for c in checks if not c.passed] == ["moment-xi2"]
 
     def test_group0_baseline_power_matches_an_independent_baseline_draw(self):
         # group 0 of the G = 6 draw is distributed as a G = 1 draw: same mean
         # within 4 combined SE, and its own sampling error, not the VCC
         # line's, which pools 6 groups
         config = make_config(q_mux=8, p_t=10**1.81)
-        _, vcc, group0 = experiments._operating_point(config, 50_000, 11, 1)
+        _, vcc, group0 = experiments._operating_point(config, 50_000, 11, 1)[:3]
         independent = mc_transmit_power(replace(config, g_groups=1), 50_000, 12, 1)
         assert abs(group0.mean - independent.mean) <= 4 * np.hypot(group0.std_error, independent.std_error)
         assert group0.std_error == pytest.approx(independent.std_error, rel=0.1)
         assert group0.std_error > 2 * vcc.std_error
 
-    @pytest.mark.parametrize("trials, moment_trials", [(8192, 100_000), (20_000, 200_000)])
-    def test_moment_trials_are_ten_times_trials_and_at_least_100000(self, monkeypatch, trials, moment_trials):
-        class Stop(Exception):
-            pass
-
-        seen = []
-
-        def spy(config, trials, seed, workers):
-            seen.append(trials)
-            raise Stop
-
-        monkeypatch.setattr(experiments, "mc_moment_oracle", spy)
-        with pytest.raises(Stop):
-            oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=trials, seed=0)
-        assert seen == [moment_trials]
-
     def test_mixture_rejected_with_value_error(self, monkeypatch):
-        monkeypatch.setattr(experiments, "substream", _no_draw)
+        # the suite has no closed form to check the mixture against, so it
+        # draws nothing; the oracle alone estimates the mixture's moments
         config = make_config(shadowing=DynamicScenario())
-        with pytest.raises(ValueError, match="no closed-form"):
-            oracle_suite(config, trials=1000, seed=0)
-        with pytest.raises(ValueError, match="DynamicScenario has no moment oracle"):
-            mc_moment_oracle(config, trials=10_000, seed=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "substream", _no_draw)
+            with pytest.raises(ValueError, match="no closed-form"):
+                oracle_suite(config, trials=1000, seed=0)
+        moments = mc_moment_oracle(config, trials=10_000, seed=0)
+        assert all(np.isfinite(m.mean) and m.mean > 0 and np.isfinite(m.std_error) for m in moments)
