@@ -23,8 +23,6 @@ from .channel import (
     SCENARIOS,
     DynamicScenario,
     ShadowingParams,
-    elevation_angle,
-    los_probability,
     scenario,
     substream,
 )

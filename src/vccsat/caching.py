@@ -15,18 +15,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping
 
-__all__ = [
-    "CacheLayout",
-    "Assignment",
-    "StagePlan",
-    "DeliverySchedule",
-    "CompletenessReport",
-    "enumerate_stages",
-    "build_schedule",
-    "verify_completeness",
-    "schedule_to_dict",
-]
-
 
 @dataclass(frozen=True)
 class CacheLayout:

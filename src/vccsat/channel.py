@@ -8,10 +8,13 @@ imaginary parts each of variance beta).  AWGN power is normalised to 1, so
 the transmit power P_t absorbs pathloss and antenna gains.
 
 Two channel models share one interface: `ShadowingParams` (one shadowing
-scenario) and `DynamicScenario` (an elevation-dependent LOS/NLOS mixture
-over a coverage disk) both provide `draw(rng, n_antennas, size)` and
-`element_power(sigma_e2)`, so the Monte Carlo engine and the power
-normalisation take either one as `SystemConfig.shadowing`.
+scenario) and `DynamicScenario` (a LOS/NLOS mixture over a coverage disk,
+LOS with probability exp(-eta * r / h) at distance r from the centre) both
+provide `draw(rng, n_antennas, size)` and `element_power(sigma_e2)`, so the
+Monte Carlo engine and the power normalisation take either one as
+`SystemConfig.shadowing`.  Their samplers `sample_channel_array` and
+`sample_dynamic_channel_array` share the signature
+`(model, n_antennas, rng, size=())`.
 
 The LOS phasor exp(j*theta_l) is evaluated from float32 cos/sin of the
 float64 phase, widened to float64 and rescaled to unit modulus (see
@@ -197,7 +200,8 @@ class DynamicScenario:
     Users are uniform on a disk of radius `radius_km`; the serving satellite
     sits at the zenith of the disk centre at `altitude_km`.  Per user and per
     block the channel is LOS (params `los_params`) with probability
-    exp(-eta * cot(elevation)) and NLOS (params `nlos_params`) otherwise.
+    `los_probability(r)` = exp(-eta * r / altitude_km) at distance r from the
+    centre, and NLOS (params `nlos_params`) otherwise.
     """
 
     radius_km: float = 10.0
@@ -219,62 +223,41 @@ class DynamicScenario:
         nlos = self.nlos_params.element_power(sigma_e2)
         return p * los + (1.0 - p) * nlos
 
+    def los_probability(self, radius_km):
+        """LOS probability exp(-eta * r / h) of a user at `radius_km` from the
+        disk centre: exp(-eta * cot(elevation)), since cot(elevation) = r / h
+        under the satellite at altitude h; 1 at the centre, decreasing in r."""
+        return np.exp(-self.eta * radius_km / self.altitude_km)
+
     def user_radii(self, rng, size) -> np.ndarray:
         """Distances (km) from the disk centre of users uniform in area."""
         return self.radius_km * np.sqrt(rng.random(size))
 
     def draw(self, rng, n_antennas: int, size) -> np.ndarray:
-        """Channels of shape (*size, n_antennas) for users uniform on the
-        disk: the radius sets the elevation, which sets the LOS probability."""
-        radii = self.user_radii(rng, size)
-        elevations = elevation_angle(radii, self.altitude_km)
-        return sample_dynamic_channel_array(self, elevations, n_antennas, rng)
+        """Channels of shape (*size, n_antennas); see `sample_dynamic_channel_array`."""
+        return sample_dynamic_channel_array(self, n_antennas, rng, size=size)
 
 
-def elevation_angle(horizontal_distance_km, altitude_km):
-    """Elevation angle in degrees seen by a ground user at the given
-    horizontal distance from the sub-satellite point; 90 deg at distance 0."""
-    if not np.all(np.asarray(altitude_km) > 0):
-        raise ValueError("altitude_km must be > 0")
-    if np.any(np.asarray(horizontal_distance_km) < 0):
-        raise ValueError("horizontal_distance_km must be >= 0")
-    return np.degrees(np.arctan2(altitude_km, horizontal_distance_km))
+def sample_dynamic_channel_array(scen: DynamicScenario, n_antennas: int, rng, size=()) -> np.ndarray:
+    """Vectorised mixture draw of shape (*size, n_antennas) for users uniform
+    on the disk: each user's radius sets its LOS probability.
 
-
-def los_probability(eta, elevation_deg):
-    """LOS probability exp(-eta * cot(elevation)); 1 at zenith, increasing in
-    elevation."""
-    elevation = np.asarray(elevation_deg, dtype=float)
-    if not eta > 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    if np.any(elevation <= 0) or np.any(elevation > 90):
-        raise ValueError("elevation_deg must lie in (0, 90]")
-    zeta = np.radians(elevation)
-    cot = np.cos(zeta) / np.sin(zeta)
-    out = np.exp(-eta * cot)
-    return float(out) if np.isscalar(elevation_deg) else out
-
-
-def sample_dynamic_channel_array(scen: DynamicScenario, elevations_deg, n_antennas: int, rng) -> np.ndarray:
-    """Vectorised mixture draw: elevations_deg of shape `size` gives channels
-    of shape (*size, n_antennas).
-
-    Only the selected branch of the mixture is observed, so the LOS and NLOS
-    branches may share phase/scatter noise sources without changing the
-    sampled distribution.
+    Draw order is fixed (radii, LOS/NLOS states, LOS-branch amplitudes,
+    NLOS-branch amplitudes, phases, scatter).  Only the selected branch of
+    the mixture is observed, so the LOS and NLOS branches may share
+    phase/scatter noise sources without changing the sampled distribution.
     """
-    elev = np.asarray(elevations_deg, dtype=float)
-    p = los_probability(scen.eta, elev)
-    states = rng.random(elev.shape) < p
-    z_los = _los_amplitudes(scen.los_params, elev.shape, rng)
-    z_nlos = _los_amplitudes(scen.nlos_params, elev.shape, rng)
+    radii = scen.user_radii(rng, size)
+    states = rng.random(size) < scen.los_probability(radii)
+    z_los = _los_amplitudes(scen.los_params, size, rng)
+    z_nlos = _los_amplitudes(scen.nlos_params, size, rng)
     z = np.where(states, z_los, z_nlos)
     scatter_std = np.where(states, np.sqrt(scen.los_params.beta), np.sqrt(scen.nlos_params.beta))
     return _rician(z, scatter_std[..., None], n_antennas, rng)
 
 
 def disk_mean_los_probability(scen: DynamicScenario) -> float:
-    """LOS probability averaged over a uniform user position on the disk.
+    """Area mean of `DynamicScenario.los_probability` over the disk.
 
     With a = eta / altitude, E[exp(-a r)] over the radial density 2r/D^2 is
     (2 / (a D)^2) * (1 - exp(-a D) (1 + a D)).

@@ -151,7 +151,10 @@ def _resolved(args: argparse.Namespace) -> dict:
     return values
 
 
-def _system_config(values: dict) -> SystemConfig:
+def _resolved_config(args: argparse.Namespace) -> tuple[dict, SystemConfig]:
+    """The resolved values and the `SystemConfig` they set; a `--gain` run
+    needs Q >= 2."""
+    values = _resolved(args)
     custom = [k for k in ("m", "beta", "omega") if k in values]
     if custom and len(custom) != 3:
         raise ValueError(f"custom shadowing requires all of m, beta, omega; got only {custom}")
@@ -159,7 +162,7 @@ def _system_config(values: dict) -> SystemConfig:
         p_t = float(values["pt_linear"]) if "pt_linear" in values else 10.0 ** (float(values["pt_db"]) / 10.0)
     except OverflowError:  # pt_db above about 3083: SystemConfig rejects it as not finite
         p_t = math.inf
-    return SystemConfig(
+    config = SystemConfig(
         l_antennas=values["l"],
         g_groups=values["g"],
         q_mux=values["q"],
@@ -169,6 +172,9 @@ def _system_config(values: dict) -> SystemConfig:
         t_coherence=values["t"],
         theta_pilot=values["theta"],
     )
+    if getattr(args, "gain", False) and config.q_mux < 2:
+        raise ValueError("Q must be >= 2 for gain comparisons (precoding-free operation is excluded)")
+    return values, config
 
 
 def _manifest(command: str, resolved: dict, seed: int | None, outputs: list[str]) -> dict:
@@ -209,35 +215,26 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict], manifest_name: 
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    values = _resolved(args)
-    config = _system_config(values)
-    if args.gain and config.q_mux < 2:
-        raise ValueError(
-            "Q must be >= 2 for gain comparisons (precoding-free operation is excluded)"
-        )
+    values, config = _resolved_config(args)
 
     a2 = analysis.alpha2_closed_form(config)
     moments = analysis.xi_moments_closed_form(config)
-    rate = analysis.avg_sum_rate_closed_form(config)
+    closed = {
+        "alpha2": a2,
+        "xi": config.xi,
+        "xi1": moments.xi1,
+        "xi2": moments.xi2,
+        "avg_sum_rate": analysis.avg_sum_rate_closed_form(config),
+    }
     # computed before the report, so a bad q cap fails with nothing printed
     caps = (values["q_max"], values["q_max_baseline"])
     res = analysis.effective_gain_closed_form(config, *caps) if args.gain else None
     mode = "baseline (cacheless, G=1)" if config.g_groups == 1 else f"cache-aided (G={config.g_groups})"
     print(f"mode            : {mode}")
     print(f"snr_ave_db      : {config.snr_ave_db:.4f}")
-    print(f"alpha2          : {a2:.6g}")
-    print(f"xi              : {config.xi:.6g}")
-    print(f"xi1             : {moments.xi1:.6g}")
-    print(f"xi2             : {moments.xi2:.6g}")
-    print(f"avg_sum_rate    : {rate:.6g}")
-    out = {
-        "mode": mode,
-        "alpha2": a2,
-        "xi": config.xi,
-        "xi1": moments.xi1,
-        "xi2": moments.xi2,
-        "avg_sum_rate": rate,
-    }
+    for key, value in closed.items():
+        print(f"{key:<16}: {value:.6g}")
+    out = {"mode": mode, **closed}
     if res is not None:
         print(
             f"effective_gain  : {res.gain:.6g} "
@@ -255,12 +252,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    values = _resolved(args)
-    config = _system_config(values)
-    if args.gain and config.q_mux < 2:
-        raise ValueError(
-            "Q must be >= 2 for gain comparisons (precoding-free operation is excluded)"
-        )
+    values, config = _resolved_config(args)
     seed, trials, workers = values["seed"], values["trials"], values["workers"]
     caps = (values["q_max"], values["q_max_baseline"])
     # computed before any Monte Carlo, so bad caps or rates fail before the draws
@@ -310,8 +302,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    values = _resolved(args)
-    checks = experiments.oracle_suite(_system_config(values), values["trials"], values["seed"], values["workers"])
+    values, config = _resolved_config(args)
+    checks = experiments.oracle_suite(config, values["trials"], values["seed"], values["workers"])
     failures = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

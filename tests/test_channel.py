@@ -9,9 +9,7 @@ from vccsat.channel import (
     ShadowingParams,
     _rician,
     disk_mean_los_probability,
-    elevation_angle,
     estimation_noise,
-    los_probability,
     sample_channel_array,
     sample_dynamic_channel_array,
     scenario,
@@ -212,34 +210,19 @@ class TestEstimationError:
 
 
 class TestGeometry:
-    def test_elevation_angles(self):
-        assert elevation_angle(0.0, 600.0) == pytest.approx(90.0)
-        assert elevation_angle(10.0, 600.0) == pytest.approx(np.degrees(np.arctan(60.0)), abs=1e-9)
-        assert elevation_angle(10.0, 600.0) == pytest.approx(89.045, abs=1e-3)
-        assert elevation_angle(600.0, 600.0) == pytest.approx(45.0)
-        with pytest.raises(ValueError):
-            elevation_angle(10.0, 0.0)
-        with pytest.raises(ValueError):
-            elevation_angle(-1.0, 600.0)
-
     def test_los_probability_values(self):
-        assert los_probability(0.35, 90.0) == pytest.approx(1.0)
-        edge = elevation_angle(10.0, 600.0)
-        assert los_probability(0.35, edge) == pytest.approx(np.exp(-0.35 * 10.0 / 600.0), rel=1e-12)
-        assert los_probability(0.35, edge) == pytest.approx(0.99419, abs=1e-5)
-        assert los_probability(0.35, 45.0) == pytest.approx(np.exp(-0.35), rel=1e-12)
-        assert los_probability(0.35, 45.0) == pytest.approx(0.70469, abs=1e-5)
+        scen = DynamicScenario()
+        assert scen.los_probability(0.0) == 1.0
+        # the disk edge, seen at elevation arctan(600 / 10) = 89.045 deg
+        assert scen.los_probability(10.0) == pytest.approx(np.exp(-0.35 * 10.0 / 600.0), rel=1e-12)
+        assert scen.los_probability(10.0) == pytest.approx(0.99419, abs=1e-5)
+        # radius = altitude: elevation 45 deg, cot = 1
+        assert scen.los_probability(600.0) == pytest.approx(np.exp(-0.35), rel=1e-12)
+        assert scen.los_probability(600.0) == pytest.approx(0.70469, abs=1e-5)
 
-    def test_los_probability_monotone_in_elevation(self):
-        grid = np.linspace(5.0, 90.0, 50)
-        p = los_probability(0.35, grid)
-        assert np.all(np.diff(p) > 0)
-
-    def test_los_probability_domain(self):
-        with pytest.raises(ValueError):
-            los_probability(0.35, 0.0)
-        with pytest.raises(ValueError):
-            los_probability(0.0, 45.0)
+    def test_los_probability_decreasing_in_radius(self):
+        p = DynamicScenario().los_probability(np.linspace(0.0, 600.0, 50))
+        assert np.all(np.diff(p) < 0)
 
 
 class TestUserPositions:
@@ -263,9 +246,9 @@ class TestUserPositions:
 
 class TestDynamicChannel:
     def test_zenith_always_los(self):
-        scen = DynamicScenario()
+        scen = DynamicScenario(radius_km=1e-9)
         rng = np.random.default_rng(0)
-        h = sample_dynamic_channel_array(scen, np.full(50_000, 90.0), 1, rng)
+        h = sample_dynamic_channel_array(scen, 1, rng, size=(50_000,))
         p = np.abs(h[:, 0]) ** 2
         target = scen.los_params.element_power()
         assert abs(p.mean() - target) <= 3 * se_of_mean(p)
@@ -273,7 +256,7 @@ class TestDynamicChannel:
     def test_huge_eta_always_nlos(self):
         scen = DynamicScenario(eta=1e6)
         rng = np.random.default_rng(1)
-        h = sample_dynamic_channel_array(scen, np.full(50_000, 45.0), 1, rng)
+        h = sample_dynamic_channel_array(scen, 1, rng, size=(50_000,))
         p = np.abs(h[:, 0]) ** 2
         target = scen.nlos_params.element_power()
         assert abs(p.mean() - target) <= 3 * se_of_mean(p)
@@ -281,28 +264,19 @@ class TestDynamicChannel:
     def test_branch_frequency_matches_probability(self):
         # without scatter |h| is the LOS amplitude: ILS ones concentrate near
         # sqrt(1.29) while FHS ones are below ~0.2, so it classifies the
-        # sampled branch exactly
+        # sampled branch exactly; on the 600 km disk the LOS probability
+        # spans [exp(-0.35), 1], and its area mean is the branch frequency
         ils, fhs = SCENARIOS["ILS"], SCENARIOS["FHS"]
         scen = DynamicScenario(
+            radius_km=600.0,
             los_params=ShadowingParams(ils.m, 0.0, ils.omega),
             nlos_params=ShadowingParams(fhs.m, 0.0, fhs.omega),
         )
-        elev = 60.0
-        prob = los_probability(scen.eta, elev)
+        prob = disk_mean_los_probability(scen)
         rng = np.random.default_rng(2)
         n_draws = 2000
-        los = np.abs(sample_dynamic_channel_array(scen, np.full(n_draws, elev), 1, rng)[:, 0]) > 0.5
+        los = np.abs(sample_dynamic_channel_array(scen, 1, rng, size=(n_draws,))[:, 0]) > 0.5
         assert abs(los.mean() - prob) <= 3 * np.sqrt(prob * (1 - prob) / n_draws)
-
-    def test_mixture_moment_at_fixed_elevation(self):
-        scen = DynamicScenario()
-        elev = 60.0
-        prob = los_probability(scen.eta, elev)
-        rng = np.random.default_rng(2)
-        hs = sample_dynamic_channel_array(scen, np.full(200_000, elev), 1, rng)
-        p = np.abs(hs[:, 0]) ** 2
-        mix = prob * scen.los_params.element_power() + (1 - prob) * scen.nlos_params.element_power()
-        assert abs(p.mean() - mix) <= 3 * se_of_mean(p)
 
     def test_disk_mixture_moment(self):
         scen = DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)
@@ -334,9 +308,21 @@ class TestDynamicChannel:
         scen = DynamicScenario(radius_km=10.0, altitude_km=600.0, eta=0.35)
         r = np.linspace(0.0, 10.0, 200_001)
         density = 2.0 * r / 10.0**2
-        values = np.exp(-scen.eta * r / scen.altitude_km)
-        numeric = np.trapezoid(values * density, r)
+        numeric = np.trapezoid(scen.los_probability(r) * density, r)
         assert disk_mean_los_probability(scen) == pytest.approx(numeric, rel=1e-9)
+
+    # x = eta * radius / altitude = 5e-5 takes the series branch, 1e-2 the
+    # closed form; just above the 1e-4 switch the closed form cancels (its
+    # relative error is about 3e-8 at x = 1.01e-4), so no point sits there
+    @pytest.mark.parametrize("x", [5e-5, 1e-2], ids=["series", "direct"])
+    def test_disk_mean_los_probability_branches(self, x):
+        scen = DynamicScenario(radius_km=x * 600.0 / 0.35)
+        # Gauss-Legendre in r is exact to rounding for this smooth integrand
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        r = 0.5 * scen.radius_km * (nodes + 1.0)
+        density = 2.0 * r / scen.radius_km**2
+        numeric = 0.5 * scen.radius_km * np.sum(weights * density * scen.los_probability(r))
+        assert disk_mean_los_probability(scen) == pytest.approx(numeric, rel=1e-12)
 
 
 def snr_config(p_t, params):
@@ -406,7 +392,9 @@ class TestDrawBitIdentity:
     @classmethod
     def dynamic_reference(cls, scen, n_antennas, rng, size, los=los_v2):
         radii = scen.radius_km * np.sqrt(rng.random(size))
-        p = los_probability(scen.eta, elevation_angle(radii, scen.altitude_km))
+        # the LOS probability through the elevation angle, exp(-eta * cot)
+        zeta = np.radians(np.degrees(np.arctan2(scen.altitude_km, radii)))
+        p = np.exp(-scen.eta * np.cos(zeta) / np.sin(zeta))
         states = rng.random(size) < p
         lp, nlp = scen.los_params, scen.nlos_params
         z_los = np.sqrt(rng.gamma(shape=lp.m, scale=lp.omega / lp.m, size=size))

@@ -2,7 +2,8 @@
 name (`COUNTS` in `perfbench/tracer.py`), so renaming `config` or `trials`
 in one of them breaks only the benchmark's traced runs.  Each command runs
 here under the tracer, and so does the one counted estimator no command
-reaches, `mc_moment_oracle`."""
+reaches, `mc_moment_oracle`.  Figure 6 runs too: it is the only command on
+the mixture sampler, whose span counts the elements of its result."""
 
 import sys
 from pathlib import Path
@@ -56,3 +57,19 @@ def test_traced_moment_oracle_binds_trials():
         problems = tracer.restore()
     assert problems == []
     assert [s.attrs["trials"] for s in recorder.spans if "trials" in s.attrs] == [10_000]
+
+
+def test_traced_figure6_counts_mixture_draws(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    recorder = Recorder()
+    tracer = Tracer(recorder)
+    tracer.install()
+    try:
+        code = main(["figure", "6", "--trials", "100"])
+    finally:
+        problems = tracer.restore()
+    assert code == 0
+    assert problems == []
+    # 100 trials x 48 cache-aided (G=6, Q=8) or 8 baseline users x L=16
+    elements = {s.attrs["elements"] for s in recorder.spans if s.name == "channel.sample_dynamic_channel_array"}
+    assert elements == {100 * 48 * 16, 100 * 8 * 16}
