@@ -92,7 +92,9 @@ def xi_moments_closed_form(config: SystemConfig) -> Moments:
 
 def avg_sum_rate_closed_form(config: SystemConfig) -> float:
     """Average effective sum rate
-    xi_{G,Q} G Q log2(1 + a2 (xi1 + sigma_e2 L (2b+w)) / (1 + a2 (Q-1) xi2)).
+    xi_{G,Q} G Q log2(1 + a2 (xi1 + sigma_e2 L (2b+w)) / (1 + a2 (Q-1) xi2)),
+    with log2(1 + x) taken as log1p(x) / log(2), which stays positive where
+    1 + x rounds to 1, as in the Monte Carlo kernel.
 
     A log-of-expectations approximation of E[sum log2(1 + SINR)]: loose on
     single rates where one interferer dominates (Q=2, high SNR), closer on
@@ -104,7 +106,7 @@ def avg_sum_rate_closed_form(config: SystemConfig) -> float:
     moments = xi_moments_closed_form(config)
     numerator = a2 * moments.desired
     denominator = 1.0 + a2 * (config.q_mux - 1) * moments.xi2
-    rate = float(config.xi * config.n_users * np.log2(1.0 + numerator / denominator))
+    rate = float(config.xi * config.n_users * np.log1p(numerator / denominator) / np.log(2.0))
     if not math.isfinite(rate):
         raise ValueError(
             f"closed-form rate is not finite ({rate}) at p_t={config.p_t:g}, G={config.g_groups}, Q={config.q_mux}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ def enumerate_stages(layout: CacheLayout) -> list[tuple[int, ...]]:
     return list(combinations(range(1, layout.n_states + 1), layout.caching_gain))
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
+class Assignment(NamedTuple):
     """User `user` in slot `slot` of group `group` receives the subfile of
-    file `file` labelled by the sorted state set `subfile`."""
+    file `file` labelled by the sorted state set `subfile`.  The fields are
+    the assignment's keys in the exported schedule."""
 
     group: int
     slot: int
@@ -214,29 +214,14 @@ def verify_completeness(
 
 
 def schedule_to_dict(schedule: DeliverySchedule) -> dict:
-    """JSON-ready structure: stages -> rounds -> assignments with subsets
-    rendered as sorted integer arrays."""
+    """JSON-ready structure: stages -> rounds -> assignments, each an
+    `Assignment` as a dict; JSON writes the sorted state tuples as arrays."""
     return {
         "g": schedule.g,
         "q": schedule.q,
         "n_stages": schedule.n_stages,
         "stages": [
-            {
-                "groups": list(stage.groups),
-                "rounds": [
-                    [
-                        {
-                            "group": a.group,
-                            "slot": a.slot,
-                            "user": a.user,
-                            "file": a.file,
-                            "subfile": list(a.subfile),
-                        }
-                        for a in round_assignments
-                    ]
-                    for round_assignments in stage.rounds
-                ],
-            }
+            {"groups": stage.groups, "rounds": [[a._asdict() for a in r] for r in stage.rounds]}
             for stage in schedule.stages
         ],
     }

@@ -30,23 +30,6 @@ from .linkphy import SystemConfig
 # 3 dB steps plus the 18.1 dB link-budget operating point
 FIGURE_PT_GRID_DB = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 18.1, 21.0]
 
-FIGURE_SCHEMA = [
-    "pt_db",
-    "snr_ave_db",
-    "scenario",
-    "L",
-    "G",
-    "Q_best_vcc",
-    "Q_best_base",
-    "rate_vcc",
-    "rate_base",
-    "gain_analytic",
-    "gain_mc",
-    "mc_stderr",
-    "seed",
-]
-
-
 class _Option(NamedTuple):
     flag: str
     type: type
@@ -203,11 +186,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict], manifest_name: str) -> None:
-    lines = [f"# manifest: {manifest_name}", ",".join(columns)]
+def _write_csv(path: Path, rows: list[dict], manifest_name: str) -> None:
+    """The header is the first row's keys; every row has the same keys."""
+    lines = [f"# manifest: {manifest_name}", ",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(",".join(_fmt(value) for value in row.values()))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _gain_columns(analytic: analysis.GainResult | None, mc: analysis.GainResult | None) -> dict:
+    """The gain columns of a `figure` or `simulate --gain` row.  Q* and the
+    rates are the Monte Carlo route's when it ran; a route that did not run
+    (or a curve without a closed form, the LOS/NLOS mixture) leaves its
+    cells empty."""
+    best = mc or analytic
+    return {
+        "Q_best_vcc": getattr(best, "best_q_vcc", None),
+        "Q_best_base": getattr(best, "best_q_baseline", None),
+        "rate_vcc": getattr(best, "rate_vcc", None),
+        "rate_base": getattr(best, "rate_baseline", None),
+        "gain_analytic": getattr(analytic, "gain", None),
+        "gain_mc": getattr(mc, "gain", None),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +272,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "trials": trials,
         "seed": seed,
     }
-    columns = list(row)
     results: dict = {"rate": row}
     if args.gain:
         res = experiments.mc_gain_table(config, [config.p_t], *caps, trials, seed, workers)[0]
-        row.update(
-            {
-                "Q_best_vcc": res.best_q_vcc,
-                "Q_best_base": res.best_q_baseline,
-                "rate_vcc": res.rate_vcc,
-                "rate_base": res.rate_baseline,
-                "gain_analytic": cf_gain.gain,
-                "gain_mc": res.gain,
-                "gain_mc_stderr": res.gain_stderr,
-            }
-        )
-        columns = list(row)
+        row.update(_gain_columns(cf_gain, res), gain_mc_stderr=res.gain_stderr)
         results["gain"] = {k: row[k] for k in ("gain_analytic", "gain_mc", "gain_mc_stderr")}
 
     stem = Path(args.out)
@@ -295,7 +283,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csv_path = stem.with_suffix(".csv")
     json_path = stem.with_suffix(".json")
     manifest = _manifest("simulate", values, seed, [csv_path.name, json_path.name])
-    _write_csv(csv_path, columns, [row], json_path.name)
+    _write_csv(csv_path, [row], json_path.name)
     _write_json(json_path, {"manifest": manifest, "results": results})
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -365,30 +353,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
     for name, label, cap, config in curves:
         offset = config.snr_ave_db  # the template's p_t is 1
         gains = experiments.sweep(config, pt_values, cap, trials, seed, workers, monte_carlo=not args.analytic_only)
-        # a curve without a closed form (the LOS/NLOS mixture) leaves its
-        # analytic columns empty
-        rows = []
-        for pt_db, (analytic, mc) in zip(FIGURE_PT_GRID_DB, gains):
-            best = mc or analytic
-            rows.append(
-                {
-                    "pt_db": pt_db,
-                    "snr_ave_db": pt_db + offset,
-                    "scenario": label,
-                    "L": config.l_antennas,
-                    "G": config.g_groups,
-                    "Q_best_vcc": getattr(best, "best_q_vcc", None),
-                    "Q_best_base": getattr(best, "best_q_baseline", None),
-                    "rate_vcc": getattr(best, "rate_vcc", None),
-                    "rate_base": getattr(best, "rate_baseline", None),
-                    "gain_analytic": getattr(analytic, "gain", None),
-                    "gain_mc": getattr(mc, "gain", None),
-                    "mc_stderr": getattr(mc, "gain_stderr", None),
-                    "seed": seed,
-                }
-            )
+        rows = [
+            {
+                "pt_db": pt_db,
+                "snr_ave_db": pt_db + offset,
+                "scenario": label,
+                "L": config.l_antennas,
+                "G": config.g_groups,
+                **_gain_columns(analytic, mc),
+                "mc_stderr": getattr(mc, "gain_stderr", None),
+                "seed": seed,
+            }
+            for pt_db, (analytic, mc) in zip(FIGURE_PT_GRID_DB, gains)
+        ]
         path = outdir / f"fig{args.figure}_{name}.csv"
-        _write_csv(path, FIGURE_SCHEMA, rows, manifest_name)
+        _write_csv(path, rows, manifest_name)
         outputs.append(path.name)
         print(f"wrote {path}")
 
@@ -449,22 +428,10 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     }
     payload = {
         "manifest": _manifest("schedule", resolved, None, [str(args.out)]),
-        "layout": {
-            "n_states": layout.n_states,
-            "t": layout.t,
-            "n_files": layout.n_files,
-            "users_per_group": layout.users_per_group,
-            "caching_gain": layout.caching_gain,
-            "cache_fraction": layout.cache_fraction,
-        },
+        "layout": {**asdict(layout), "caching_gain": layout.caching_gain, "cache_fraction": layout.cache_fraction},
         "schedule": schedule_to_dict(schedule),
-        "verification": {
-            "complete": report.complete,
-            "summary": report.summary(),
-            "missing": report.missing,
-            "duplicated": report.duplicated,
-            "unexpected": report.unexpected,
-        },
+        # `complete` keeps its first place when asdict sets it again
+        "verification": {"complete": report.complete, "summary": report.summary(), **asdict(report)},
     }
     # one line through the C encoder: indent=2 makes json use its pure-Python
     # encoder, which took most of the command's time on large layouts

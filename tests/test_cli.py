@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from vccsat.caching import (
     schedule_to_dict,
 )
 from vccsat.channel import SCENARIOS
-from vccsat.cli import FIGURE_SCHEMA, main, parse_config_file
+from vccsat.cli import main, parse_config_file
 from vccsat.linkphy import SystemConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -186,15 +187,16 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", "--pt-db", "-3000", "--gain"],
-            ["analyze", "--pt-linear", "1e-320", "--gain"],
-            ["simulate", "--pt-db", "-400", "--gain", "--trials", "100"],
+            ["analyze", "--pt-db", "-3233", "--gain"],
+            ["analyze", "--pt-linear", "5e-324", "--gain"],
+            ["simulate", "--pt-linear", "5e-324", "--gain", "--trials", "100"],
         ],
         ids=["analyze-db", "analyze-linear", "simulate"],
     )
     def test_underflowing_baseline_rate_rejected(self, capsys, tmp_path, monkeypatch, argv):
-        # the closed form's log2(1 + x) is exactly 0 once x is below machine
-        # epsilon, and a gain over a zero baseline rate is undefined
+        # at the smallest subnormal power (-3233 dB rounds to it) alpha2
+        # itself underflows to 0, so every rate is 0, and a gain over a zero
+        # baseline rate is undefined
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -202,9 +204,48 @@ class TestAnalyze:
         assert not list(tmp_path.iterdir())
 
     def test_underflowing_rate_reported(self, capsys):
-        code, out, _ = run(capsys, "analyze", "--pt-db", "-3000")
+        code, out, _ = run(capsys, "analyze", "--pt-linear", "5e-324")
         assert code == 0
+        assert "alpha2          : 0\n" in out
         assert "avg_sum_rate    : 0\n" in out
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["analyze", "--pt-db", "-3000"], "avg_sum_rate    : 1.19189e-299\n"),
+            (
+                ["analyze", "--pt-db", "-3000", "--gain"],
+                "effective_gain  : 0.987971 (Q*=2, Q'*=2, rate_vcc=1.24653e-299, rate_base=1.26171e-299)\n",
+            ),
+            (
+                ["analyze", "--pt-linear", "1e-320", "--gain"],
+                "effective_gain  : 1.00994 (Q*=3, Q'*=3, rate_vcc=1.28037e-319, rate_base=1.26777e-319)\n",
+            ),
+            (
+                ["validate", "--pt-db", "-170", "--trials", "1000"],
+                "[PASS] rate-approximation: closed=1.19189e-16 mc=1.19181e-16 rel=0.0001 (tol 0.05)\n",
+            ),
+        ],
+        ids=["analyze-db", "analyze-db-gain", "analyze-linear-gain", "validate"],
+    )
+    def test_rate_at_tiny_power_reported(self, capsys, argv, line):
+        # the closed form takes log2(1 + x) as log1p(x) / log(2), which stays
+        # positive for x far below machine epsilon, as the Monte Carlo rate does
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert line in out
+
+    def test_gain_at_tiny_power_is_the_overhead_ratio(self, capsys, tmp_path):
+        # at low SNR every rate is P_t desired xi / (L (2b + sigma_e2 + w) ln 2)
+        # for every G and Q, so Q* = Q'* = 2 and the gain is xi(G=6) / xi(G=1)
+        config = SystemConfig(l_antennas=8, g_groups=6, q_mux=2, p_t=1.0, shadowing=SCENARIOS["AS"])
+        limit = config.xi / replace(config, g_groups=1).xi
+        stem = tmp_path / "run"
+        code, _, _ = run(capsys, "simulate", "--pt-db", "-400", "--gain", "--trials", "100", "--out", str(stem))
+        assert code == 0
+        row = json.loads(stem.with_suffix(".json").read_text())["results"]["rate"]
+        assert row["rate_analytic"] > 0
+        assert row["gain_analytic"] == pytest.approx(limit, rel=1e-12)
 
     def test_gain_with_q1_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--Q", "1", "--gain")
@@ -485,7 +526,10 @@ class TestFigure:
         assert files == ["fig2_as_l8.csv", "fig2_fhs_l8.csv", "fig2_ils_l8.csv"]
         lines = (tmp_path / "fig2_as_l8.csv").read_text().strip().split("\n")
         assert lines[0] == "# manifest: fig2_manifest.json"
-        assert lines[1] == ",".join(FIGURE_SCHEMA)
+        assert lines[1] == (
+            "pt_db,snr_ave_db,scenario,L,G,Q_best_vcc,Q_best_base,rate_vcc,rate_base,"
+            "gain_analytic,gain_mc,mc_stderr,seed"
+        )
         assert len(lines) == 2 + 9  # comment + header + grid points incl. 18.1 dB
         manifest = json.loads((tmp_path / "fig2_manifest.json").read_text())
         assert manifest["command"] == "figure 2"
@@ -716,7 +760,9 @@ class TestSchedule:
         text = out.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
         data = json.loads(text)
-        assert data["schedule"] == schedule_to_dict(build_schedule(layout, q, demands))
+        # JSON reads the state tuples back as lists
+        expected = json.loads(json.dumps(schedule_to_dict(build_schedule(layout, q, demands))))
+        assert data["schedule"] == expected
         assert data["verification"]["complete"] is True
 
 

@@ -451,6 +451,20 @@ class TestOracleSuite:
         checks = oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=8192, seed=0)
         assert [c.name for c in checks if not c.passed] == ["moment-xi2"]
 
+    def test_csit_invariance_fails_with_xi2_without_csit_error(self, monkeypatch):
+        # an xi2 that leaves sigma_e2 out no longer cancels the sigma_e2 of
+        # a2, so the product form moves with the CSIT error
+        def xi_without_csit_error(config):
+            # L (2b + w)^2 in place of L (2b + w) (2b + sigma_e2 + w)
+            xi2 = config.l_antennas * config.shadowing.element_power() ** 2
+            return xi_moments_closed_form(config)._replace(xi2=xi2)
+
+        monkeypatch.setattr(experiments.analysis, "xi_moments_closed_form", xi_without_csit_error)
+        checks = oracle_suite(make_config(q_mux=8, p_t=10**1.81), trials=1000, seed=0)
+        (identity,) = [c for c in checks if c.name == "interference-identity"]
+        assert not identity.passed
+        assert identity.detail.endswith("csit-invariant=False")
+
     def test_group0_baseline_power_matches_an_independent_baseline_draw(self):
         # group 0 of the G = 6 draw is distributed as a G = 1 draw: same mean
         # within 4 combined SE, and its own sampling error, not the VCC
