@@ -29,7 +29,9 @@ random draws; 3 conditioned the power contract on the estimate, same draws;
 4 has the power contracts read the rate draw, same draws; 5 reads the
 moments from the operating point's draw, two users per group wide at Q = 1
 (`mc_moment_oracle` is a G = 1, Q = 2 operating point), so only the moments
-and Q = 1 operating points move.
+and Q = 1 operating points move; 6 draws each chunk's channels, then its
+estimation noise, chunk by chunk (`experiments._chunks`), so every Monte
+Carlo value moves.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # version of the numbers a seed produces; bumped by any change that moves them
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ def _complex_normals(scale, shape, rng) -> np.ndarray:
 
 # Rows of the LOS term per block: its five buffers (the float32 phases and
 # four float64 arrays of cos, sin, amplitude and a square) of 128 KiB each
-# stay inside a typical L2 cache, where whole-batch temporaries would raise
-# the peak memory of a draw.
+# stay inside a typical L2 cache.  Whole-chunk temporaries instead raised
+# fig6's peak RSS by 2 MiB and doubled its minor faults.
 _LOS_BLOCK_BYTES = 1 << 17
 
 

@@ -12,12 +12,12 @@ contracts and the three channel moments read the same draw
 (`_operating_point`), so `validate` makes one draw and the moment oracle is
 that estimator at G = 1, Q = 2.
 
-Within a batch the CSIT estimates exist only per chunk of `CHUNK_TRIALS`
-trials: the channel is drawn for the whole batch, then each chunk's
-estimation noise is drawn just before the chunk is evaluated.  The noise is
-the last draw of a batch and `standard_normal` fills trials in order, so the
-chunks read the same normals as one batch-sized draw; per-trial values are
-reduced once per batch, so the chunk size moves no output bit.
+A batch is drawn and evaluated one chunk of `CHUNK_USERS` users at a time
+(`_chunks`): each chunk's channels, then its estimation noise, are drawn from
+the batch's substream just before the chunk is evaluated.  So the channels,
+estimates and Gram terms exist per chunk, the per-trial values are the only
+batch-sized arrays, and the chunk size, like the batch size, is part of the
+random stream.
 """
 
 from __future__ import annotations
@@ -35,9 +35,14 @@ from .channel import ShadowingParams, estimation_noise, sample_channel_array, su
 from .linkphy import SystemConfig
 
 BATCH_TRIALS = 4096  # fixed: changing it changes the draw stream
-# trials per estimate chunk: bounds a batch's estimate and Gram arrays; any
-# size gives the same bits
-CHUNK_TRIALS = 512
+# users (trials x G x draw width) per chunk, which bounds a batch's channel,
+# estimate and Gram arrays whatever G: 128 trials of fig2's 6 x 8 users, 768
+# of its 8-user baseline.  Fixed: changing it changes the draw stream.  At 2x
+# and 4x this size glibc returned each chunk's freed arrays to the OS and
+# faulted them back in (10x the minor faults per fig2 batch); at half of it
+# the per-chunk calls slowed fig2, and so did 128 trials at every G, through
+# the baseline's 6x more chunks.
+CHUNK_USERS = 6144
 
 # stream tags keep the independent estimators on disjoint substreams: the
 # rate grid and the operating point (rate, power and moments), and the
@@ -99,19 +104,25 @@ def _estimate(
 def _chunks(
     config: SystemConfig, q_width: int, rng: np.random.Generator, n: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Draw `config.shadowing` for n trials of G groups of q_width users, then
-    yield `(offset, h, h_hat)` per chunk of `CHUNK_TRIALS` trials, both shaped
-    (chunk, G, q_width, L): `h` a view of the batch's channels and `h_hat` a
-    fresh CSIT estimate array that the caller may overwrite.  Each chunk's
-    estimation noise is drawn only when the chunk is asked for, which gives
-    the bits of one batch-sized draw (see the module docstring)."""
-    shape = (n, config.g_groups, q_width, config.l_antennas)
-    h = config.shadowing.draw(rng, config.l_antennas, (n, config.g_groups * q_width)).reshape(shape)
-    for a in range(0, n, CHUNK_TRIALS):
-        h_chunk = h[a : a + CHUNK_TRIALS]
-        h_hat = estimation_noise(h_chunk.shape, config.sigma_e2, rng)
-        h_hat += h_chunk
-        yield a, h_chunk, h_hat
+    """Yield `(offset, h, h_hat)` for each chunk of n trials of G groups of
+    q_width users, `CHUNK_USERS` // (G q_width) trials (at least one) per
+    chunk, both shaped (chunk, G, q_width, L): `h` the chunk's draw of
+    `config.shadowing` and `h_hat` its CSIT estimate, which the caller may
+    overwrite.  The chunk's channels, then its estimation noise, are drawn
+    from `rng` only when the chunk is asked for.
+
+    The previous chunk stays referenced while the next one is drawn.
+    Releasing it first cut a batch's traced peak by up to a quarter, but
+    glibc then trimmed the heap after every chunk: fig6 took 4x the minor
+    faults and 15% more wall time."""
+    step = max(1, CHUNK_USERS // (config.g_groups * q_width))
+    for a in range(0, n, step):
+        m = min(step, n - a)
+        h = config.shadowing.draw(rng, config.l_antennas, (m, config.g_groups * q_width))
+        h = h.reshape(m, config.g_groups, q_width, config.l_antennas)
+        h_hat = estimation_noise(h.shape, config.sigma_e2, rng)
+        h_hat += h
+        yield a, h, h_hat
 
 
 def _rate_kernel(config: SystemConfig, q_grid: list[int], pt_values: list[float]) -> Callable[..., np.ndarray]:
@@ -171,8 +182,7 @@ def _rate_table_raw(
     rates_of = _rate_kernel(config, q_grid, pt_values)
 
     def samples(rng: np.random.Generator, n: int) -> np.ndarray:
-        # per-trial rates of the batch, reduced once by `_estimate`, so the
-        # summation order does not depend on the chunk size
+        # per-trial rates of the batch, reduced once by `_estimate`
         rates = np.empty((len(pt_values), len(q_grid), n))
         for a, h, h_hat in _chunks(config, max(q_grid), rng, n):
             rates_of(h, h_hat, rates[:, :, a : a + len(h)])

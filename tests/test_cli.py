@@ -223,7 +223,7 @@ class TestAnalyze:
             ),
             (
                 ["validate", "--pt-db", "-170", "--trials", "1000"],
-                "[PASS] rate-approximation: closed=1.19189e-16 mc=1.19181e-16 rel=0.0001 (tol 0.05)\n",
+                "[PASS] rate-approximation: closed=1.19189e-16 mc=1.19753e-16 rel=0.0047 (tol 0.05)\n",
             ),
         ],
         ids=["analyze-db", "analyze-db-gain", "analyze-linear-gain", "validate"],
