@@ -16,10 +16,16 @@ Monte Carlo engine and the power normalisation take either one as
 `sample_dynamic_channel_array` share the signature
 `(model, n_antennas, rng, size=())`.
 
-The LOS phasor exp(j*theta_l) is evaluated from float32 cos/sin of the
-float64 phase, widened to float64 and rescaled to unit modulus (see
-`_rician`): its modulus is 1 to within 1e-15 and its angle within 4e-7 rad
-of theta_l.
+Every phasor, the LOS term's exp(j*theta_l) and the scatter's, is
+evaluated from float32 cos/sin of the float64 angle, widened to float64 and
+rescaled to unit modulus (`_phasor`): its modulus is 1 to within
+1e-15 and its angle within 4e-7 rad of the float64 angle.  The complex
+Gaussians of the scatter and of the estimation noise are polar Box-Muller
+(`_complex_normals`): from uniforms u1, u2 in [0, 1), the radius
+s * sqrt(-2 log1p(-u1)) is computed in float64 and the angle is 2 pi u2.
+Since u1 <= 1 - 2**-53, |n| <= sqrt(106 ln 2) s = 8.57 s, where s is the
+standard deviation of each part; the Gaussian law puts 1.1e-16 of its mass
+beyond that.
 
 All samplers are pure given an explicit numpy Generator; use `substream` to
 derive named, order-independent generators from one master seed.  The bits
@@ -31,20 +37,23 @@ moments from the operating point's draw, two users per group wide at Q = 1
 (`mc_moment_oracle` is a G = 1, Q = 2 operating point), so only the moments
 and Q = 1 operating points move; 6 draws each chunk's channels, then its
 estimation noise, chunk by chunk (`experiments._chunks`), so every Monte
-Carlo value moves.
+Carlo value moves; 7 draws every complex Gaussian by Box-Muller from a pair
+of uniforms, where 6 drew a pair of ziggurat normals at the same point of
+the draw order, so again every Monte Carlo value moves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
 # version of the numbers a seed produces; bumped by any change that moves them
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -108,23 +117,76 @@ def _los_amplitudes(params: ShadowingParams, size, rng) -> np.ndarray:
     return np.sqrt(rng.gamma(shape=params.m, scale=params.omega / params.m, size=size))
 
 
+# Rows per block of the block loops below: each of their float64 buffers
+# stays at 128 KiB, so all five fit a typical L2 cache.  Whole-chunk
+# temporaries instead raised fig6's peak RSS by 2 MiB and doubled its minor
+# faults.  64 KiB buffers drew a chunk 10% slower; they lowered a batch's
+# traced peak (`TestBatchMemory`) from 1.58 to 1.52 times a one-chunk batch's.
+_BLOCK_BYTES = 1 << 17
+
+
+def _blocks(
+    n_rows: int, width: int
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield `(rows, angle, cos, sin, norm, square)` for consecutive row
+    slices of [0, n_rows) of at most `_BLOCK_BYTES` of float64 each: a
+    float32 buffer and four float64 buffers for `_phasor`, each shaped
+    (rows, width) and allocated once for all blocks."""
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    n = min(step, n_rows)
+    buffers = [np.empty((n, width), dtype=np.float32)] + [np.empty((n, width)) for _ in range(4)]
+    for a in range(0, n_rows, step):
+        rows = slice(a, min(a + step, n_rows))
+        yield rows, *(b[: rows.stop - a] for b in buffers)
+
+
+def _phasor(angle, cos, sin, norm2, square) -> None:
+    """Set `cos` and `sin` to the float32 cos and sin of the float32 `angle`,
+    widened to float64, and `norm2` to cos*cos + sin*sin, with `square` as
+    scratch.
+
+    NumPy's float32 cos/sin run on SIMD instead of scalar libm.  A caller
+    scales both parts by amplitude / sqrt(norm2): that rescale gives every
+    phasor unit modulus to within 1e-15, and its angle is within 4e-7 rad of
+    the float64 angle that was rounded to `angle` (3e-7 measured)."""
+    np.cos(angle, out=cos, dtype=np.float32)
+    np.sin(angle, out=sin, dtype=np.float32)
+    np.multiply(cos, cos, out=norm2)
+    norm2 += np.multiply(sin, sin, out=square)
+
+
 def _complex_normals(scale, shape, rng) -> np.ndarray:
     """Complex Gaussians of the given shape, real and imaginary parts each
     `scale` times a standard normal; `scale` broadcasts against `shape`.
 
-    The (..., 2) normals are scaled in place and viewed as complex128, which
-    gives the same bits as `scale * (g[..., 0] + 1j * g[..., 1])` without its
-    complex temporaries."""
-    g = rng.standard_normal(tuple(shape) + (2,))
-    g *= np.asarray(scale)[..., None]
-    return g.view(np.complex128)[..., 0]
+    Polar Box-Muller from one `rng.random(shape + (2,))` draw of (u1, u2)
+    pairs: the squared radius -2 log1p(-u1) in float64 and the `_phasor` of
+    the angle 2 pi u2, written back over the pairs block by block and viewed
+    as complex128.  So the draw gives the bits of
 
+        sqrt(-2 log1p(-u1) / (c*c + s*s)) * scale * (c + 1j*s)
 
-# Rows of the LOS term per block: its five buffers (the float32 phases and
-# four float64 arrays of cos, sin, amplitude and a square) of 128 KiB each
-# stay inside a typical L2 cache.  Whole-chunk temporaries instead raised
-# fig6's peak RSS by 2 MiB and doubled its minor faults.
-_LOS_BLOCK_BYTES = 1 << 17
+    with c, s the widened float32 cos/sin of the float32-rounded angle, and
+    allocates nothing of its size but the draw itself; a per-element `scale`
+    is read per block, never broadcast to `shape`."""
+    shape = tuple(shape)
+    pairs = rng.random(shape + (2,))
+    u = pairs.reshape(math.prod(shape[:-1]), shape[-1], 2)
+    scale_rows = np.broadcast_to(scale, shape).reshape(len(u), shape[-1])
+    for rows, angle, cos, sin, norm2, square in _blocks(len(u), shape[-1]):
+        u1, u2 = u[rows, :, 0], u[rows, :, 1]
+        angle[...] = np.multiply(u2, TWO_PI, out=cos)
+        _phasor(angle, cos, sin, norm2, square)
+        # the radius over the phasor's modulus, under one square root
+        np.negative(u1, out=square)
+        np.log1p(square, out=square)
+        square *= -2.0
+        square /= norm2
+        np.sqrt(square, out=square)
+        square *= scale_rows[rows]
+        np.multiply(cos, square, out=u1)
+        np.multiply(sin, square, out=u2)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def _rician(z: np.ndarray, scatter_std, n_antennas: int, rng) -> np.ndarray:
@@ -132,41 +194,25 @@ def _rician(z: np.ndarray, scatter_std, n_antennas: int, rng) -> np.ndarray:
     draws the float64 phases, then the scatter, then adds the LOS term into
     the scatter by parts, block by block.
 
-    The phasor is evaluated in float32, where NumPy's cos/sin run on SIMD
-    instead of scalar libm: with c and s the float32 cos and sin of the
-    float32-rounded phase, widened to float64,
-
-        h.real += c * (z / sqrt(c*c + s*s)),  h.imag += s * (z / sqrt(c*c + s*s)).
-
-    The rescale gives every phasor unit modulus to within 1e-15, so |h_l| of
-    a scatter-free channel is z for every antenna; its angle is within 4e-7
-    rad of theta (3e-7 measured).  Only this rounding differs from
-    `z[..., None] * np.exp(1j * phases) + scatter`: the random draws are
-    the same calls in the same order (tests/test_channel.py pins both the
-    bits and the generator state)."""
+    The LOS phasor is `_phasor`'s, scaled by z / sqrt(c*c + s*s), so |h_l| of
+    a scatter-free channel is z for every antenna.  Only the rounding of the
+    float32 phasors, the LOS term's and the scatter's, differs from the
+    float64 `np.exp(1j * angle)`: the random draws are the same calls in the
+    same order (tests/test_channel.py pins both the bits and the generator
+    state)."""
     shape = z.shape + (n_antennas,)
     phases = rng.uniform(0.0, TWO_PI, size=shape).reshape(-1, n_antennas)
     h = _complex_normals(scatter_std, shape, rng)
     rows, z_col = h.reshape(-1, n_antennas), z.reshape(-1, 1)
-    step = max(1, _LOS_BLOCK_BYTES // (8 * n_antennas))
-    n = min(step, len(rows))
-    phase32 = np.empty((n, n_antennas), dtype=np.float32)
-    cos, sin, amp, square = (np.empty((n, n_antennas)) for _ in range(4))
-    for a in range(0, len(rows), step):
-        block = slice(a, min(a + step, len(rows)))
-        k = block.stop - a
-        p, c, s, w, t = phase32[:k], cos[:k], sin[:k], amp[:k], square[:k]
-        p[...] = phases[block]
-        np.cos(p, out=c, dtype=np.float32)
-        np.sin(p, out=s, dtype=np.float32)
-        np.multiply(c, c, out=w)
-        w += np.multiply(s, s, out=t)
-        np.sqrt(w, out=w)
-        np.divide(z_col[block], w, out=w)
-        c *= w
-        rows.real[block] += c
-        s *= w
-        rows.imag[block] += s
+    for block, angle, cos, sin, norm, square in _blocks(len(rows), n_antennas):
+        angle[...] = phases[block]
+        _phasor(angle, cos, sin, norm, square)
+        np.sqrt(norm, out=norm)
+        np.divide(z_col[block], norm, out=norm)
+        cos *= norm
+        rows.real[block] += cos
+        sin *= norm
+        rows.imag[block] += sin
     return h
 
 

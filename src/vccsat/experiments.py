@@ -3,7 +3,7 @@
 Every Monte Carlo mean goes through one batch-and-reduce function,
 `_estimate`, to which an estimator gives only its per-trial values.  Batch j
 of the fixed-size batches draws from the named substream (seed, stream-tag,
-j) and partial sums are combined in batch-index order, so results are
+j) and the batches' moments are merged in batch-index order, so results are
 bit-identical for a given seed at any worker count.  Channel draws are reused
 across a q grid (the draw width is the largest q) and across transmit-power
 grids (power only rescales alpha^2), which also pins the Q argmax to one set
@@ -67,20 +67,29 @@ def _estimate(
     which returns the values of n trials along its last axis.
 
     Batch j of `BATCH_TRIALS` trials draws from `substream(seed, stream, j)`,
-    on a pool of `workers` threads if more than one.  Each batch's sum and
-    sum of squares are added in batch order, so the result does not depend
-    on the worker count.  An overflow or invalid value, in a batch or in
-    their total, raises `ValueError`."""
+    on a pool of `workers` threads if more than one.  Each batch gives its
+    count, mean and sum of squared deviations M2, two-pass, and these are
+    merged in batch order after Chan, Golub and LeVeque (1979), so the
+    result does not depend on the worker count.  An overflow or invalid
+    value, in a batch or in their merge, raises `ValueError`."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    def batch(j: int) -> np.ndarray:
+    def batch(j: int) -> tuple[int, np.ndarray, np.ndarray]:
         # set per batch: a pool thread does not inherit the caller's errstate
         with np.errstate(over="raise", invalid="raise"):
-            x = samples(substream(seed, stream, j), min(BATCH_TRIALS, trials - j * BATCH_TRIALS))
-            return np.stack([x.sum(axis=-1), (x * x).sum(axis=-1)])
+            n = min(BATCH_TRIALS, trials - j * BATCH_TRIALS)
+            x = samples(substream(seed, stream, j), n)
+            # the deviations from the first-pass mean, whose own mean corrects
+            # it: so constant samples give their value and M2 = 0 exactly
+            mean = x.sum(axis=-1) / n
+            d = x - mean[..., None]
+            correction = d.sum(axis=-1) / n
+            d -= correction[..., None]
+            d *= d
+            return n, mean + correction, d.sum(axis=-1)
 
     batches = range(-(-trials // BATCH_TRIALS))
     try:
@@ -93,9 +102,13 @@ def _estimate(
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(batch, batches))
         with np.errstate(over="raise", invalid="raise"):
-            sums, sumsq = sum(parts[1:], parts[0])
-            mean = sums / trials
-            var = np.maximum(sumsq - trials * mean**2, 0.0) / (trials - 1)
+            n, mean, m2 = parts[0]
+            for n_b, mean_b, m2_b in parts[1:]:
+                delta = mean_b - mean
+                mean = mean + delta * (n_b / (n + n_b))
+                m2 = m2 + m2_b + delta * delta * (n * n_b / (n + n_b))
+                n += n_b
+            var = m2 / (trials - 1)
     except FloatingPointError as exc:
         raise ValueError(f"Monte Carlo values are not finite ({exc}); is p_t too large?") from None
     return mean, np.sqrt(var / trials)

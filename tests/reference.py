@@ -1,9 +1,12 @@
 """Per-block reference path that the batched Monte Carlo engine is checked
 against: one block of channels at a time, the transmit vector built
 explicitly, and the inter-group term regenerated and cancelled as each
-receiver would.  Channels are plain (G, Q, L) arrays `h` and `h_hat`."""
+receiver would.  Channels are plain (G, Q, L) arrays `h` and `h_hat`.
+`norm2_cdf` is the exact law of ||h||^2 that the samplers are tested
+against."""
 
 import numpy as np
+from scipy import special, stats
 
 from vccsat.channel import estimation_noise
 
@@ -59,3 +62,21 @@ def moment_samples(config, rng, n):
     own = np.einsum("nl,nl->n", h, h_hat_own.conj())
     cross = np.einsum("nl,nl->n", h, h_hat_other.conj())
     return np.stack([norm2 * norm2, np.abs(cross) ** 2, np.abs(own) ** 2])
+
+
+def norm2_cdf(params, n_antennas, x):
+    """Exact CDF of ||h||^2 for one user's L-antenna `ShadowingParams`
+    channel (Abdi et al., IEEE TWC 2003): given Z, ||h||^2 / beta is
+    noncentral chi-square with 2L degrees of freedom and noncentrality
+    L Z^2 / beta, a Poisson(L Z^2 / (2 beta)) mixture of central ones; Z^2 is
+    Gamma(m, omega / m), so the Poisson count K is negative binomial with
+    r = m and theta = L omega / (2 beta m), and ||h||^2 is the K-mixture of
+    Gamma(L + K, scale 2 beta) laws.  The mixture is cut where the tail of K
+    is below 1e-15."""
+    m, beta, omega = params.m, params.beta, params.omega
+    theta = n_antennas * omega / (2.0 * beta * m)
+    count = stats.nbinom(m, 1.0 / (1.0 + theta))
+    k = np.arange(int(count.isf(1e-15)) + 1)
+    x = np.asarray(x, dtype=float)
+    gamma_cdfs = special.gammainc(n_antennas + k[:, None], x.ravel() / (2.0 * beta))
+    return (count.pmf(k) @ gamma_cdfs).reshape(x.shape)

@@ -2,7 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from reference import norm2_cdf
 from vccsat.channel import (
     SCENARIOS,
     DynamicScenario,
@@ -142,12 +144,13 @@ class TestChannelSampling:
 
     def test_phasor_precision(self):
         # the float32 phasor of 1e6 uniform phases and of phases next to 0
-        # and 2*pi, fed to the sampler by a generator stub with no scatter
+        # and 2*pi, fed to the sampler by a generator stub with no scatter:
+        # its uniforms give the Box-Muller scatter radius 0
         class Phases:
             def uniform(self, low, high, size):
                 return theta.reshape(size)
 
-            def standard_normal(self, shape):
+            def random(self, shape):
                 return np.zeros(shape)
 
         tiny = np.arange(1000) * np.spacing(np.pi)
@@ -207,6 +210,62 @@ class TestEstimationError:
         assert abs(v.mean() - 0.125) <= 3 * se_of_mean(v)
         corr = np.abs((err.ravel() * h.ravel().conj()).mean()) / np.sqrt(v.mean() * (np.abs(h) ** 2).mean())
         assert corr < 0.01
+
+
+class TestComplexNormals:
+    """The Box-Muller draw behind the scatter and the estimation noise, as
+    `estimation_noise` gives it: CN(0, sigma_e2), so with s^2 = sigma_e2 / 2
+    the power of each part, |n|^2 / (2 s^2) is Exp(1), arg n is uniform and
+    E[n^2] = 0."""
+
+    SIGMA_E2 = 0.125
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        return estimation_noise((200_000,), self.SIGMA_E2, substream(15, 0))
+
+    def test_power_exponential(self, noise):
+        assert stats.kstest(np.abs(noise) ** 2 / self.SIGMA_E2, "expon").pvalue > 1e-3
+
+    def test_angle_uniform(self, noise):
+        assert stats.kstest(np.angle(noise), stats.uniform(-np.pi, 2.0 * np.pi).cdf).pvalue > 1e-3
+
+    def test_circular(self, noise):
+        square = noise * noise
+        se = np.sqrt(square.real.var(ddof=1) + square.imag.var(ddof=1)) / np.sqrt(square.size)
+        assert abs(square.mean()) <= 3 * se
+
+
+class TestNormLaw:
+    """||h||^2 of L = 8 antennas against its exact law (`reference.norm2_cdf`):
+    a Kolmogorov-Smirnov test at a fixed seed that passes at p > 1e-3, and
+    that rejects a draw with a wrong shadowing shape."""
+
+    @staticmethod
+    def norm2(draw):
+        h = draw(substream(21, 0), 8, (20_000,))
+        return (h.real**2 + h.imag**2).sum(axis=-1)
+
+    @pytest.mark.parametrize("name", ["FHS", "AS", "ILS"])
+    def test_static(self, name):
+        params = SCENARIOS[name]
+        assert stats.kstest(self.norm2(params.draw), lambda x: norm2_cdf(params, 8, x)).pvalue > 1e-3
+
+    def test_disk_mixture(self):
+        # on the 600 km disk each branch is drawn with its area-mean
+        # probability, whatever each user's own
+        scen = DynamicScenario(radius_km=600.0)
+        p = disk_mean_los_probability(scen)
+
+        def cdf(x):
+            return p * norm2_cdf(scen.los_params, 8, x) + (1.0 - p) * norm2_cdf(scen.nlos_params, 8, x)
+
+        assert stats.kstest(self.norm2(scen.draw), cdf).pvalue > 1e-3
+
+    def test_wrong_shape_rejected(self):
+        as_ = SCENARIOS["AS"]
+        doubled = ShadowingParams(2.0 * as_.m, as_.beta, as_.omega)
+        assert stats.kstest(self.norm2(doubled.draw), lambda x: norm2_cdf(as_, 8, x)).pvalue < 1e-3
 
 
 class TestGeometry:
@@ -356,41 +415,50 @@ class TestSubstreams:
 
 
 class TestDrawBitIdentity:
-    """The samplers evaluate the LOS phasor in float32, add it by parts in
-    blocks and scale the normals in place.  Written out here are the plain
-    expressions they replace; at fixed substreams both give the same bits.
-    The sizes span several LOS blocks and end in a partial one.  The float64
-    `exp(1j * phases)` of stream version 1 is kept as `los_v1`, to pin that
-    only the phasor's rounding moved from it."""
+    """The samplers evaluate every phasor in float32, add the LOS term by
+    parts in blocks and write the Box-Muller normals over their uniforms.
+    Written out here are the plain expressions they replace; at fixed
+    substreams both give the same bits.  The sizes span several blocks and
+    end in a partial one.  Given `phasor_v1`, the references take the float64
+    phasor amplitude * exp(1j * angle) of stream version 1 instead, to pin
+    that only the phasors' rounding moved from it."""
 
     @staticmethod
-    def complex_normals(scale, shape, rng):
-        g = rng.standard_normal(shape + (2,))
-        return scale * (g[..., 0] + 1j * g[..., 1])
-
-    @staticmethod
-    def los_v2(z, phases):
-        # float32 cos/sin, widened, with the unit-modulus rescale folded into z
-        p32 = phases.astype(np.float32)
-        c, s = np.cos(p32).astype(float), np.sin(p32).astype(float)
-        return z[..., None] / np.sqrt(c * c + s * s) * (c + 1j * s)
-
-    @staticmethod
-    def los_v1(z, phases):
-        return z[..., None] * np.exp(1j * phases)
+    def cos_sin32(angle):
+        # float32 cos/sin of the float32-rounded angle, widened
+        a32 = angle.astype(np.float32)
+        return np.cos(a32).astype(float), np.sin(a32).astype(float)
 
     @classmethod
-    def static_reference(cls, params, n_antennas, rng, size, los=los_v2):
+    def los(cls, z, phases, phasor_v1=None):
+        if phasor_v1:
+            return phasor_v1(z[..., None], phases)
+        # the unit-modulus rescale folded into z
+        c, s = cls.cos_sin32(phases)
+        return z[..., None] / np.sqrt(c * c + s * s) * (c + 1j * s)
+
+    @classmethod
+    def complex_normals(cls, scale, shape, rng, phasor_v1=None):
+        # polar Box-Muller: the radius from u1, the angle from u2
+        u = rng.random(shape + (2,))
+        angle = 2.0 * np.pi * u[..., 1]
+        if phasor_v1:
+            return phasor_v1(scale * np.sqrt(-2.0 * np.log1p(-u[..., 0])), angle)
+        c, s = cls.cos_sin32(angle)
+        return np.sqrt(-2.0 * np.log1p(-u[..., 0]) / (c * c + s * s)) * scale * (c + 1j * s)
+
+    @classmethod
+    def static_reference(cls, params, n_antennas, rng, size, phasor_v1=None):
         if params.omega == 0.0:
             z = np.zeros(size)
         else:
             z = np.sqrt(rng.gamma(shape=params.m, scale=params.omega / params.m, size=size))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=size + (n_antennas,))
-        scatter = cls.complex_normals(np.sqrt(params.beta), size + (n_antennas,), rng)
-        return los(z, phases) + scatter
+        scatter = cls.complex_normals(np.sqrt(params.beta), size + (n_antennas,), rng, phasor_v1)
+        return cls.los(z, phases, phasor_v1) + scatter
 
     @classmethod
-    def dynamic_reference(cls, scen, n_antennas, rng, size, los=los_v2):
+    def dynamic_reference(cls, scen, n_antennas, rng, size, phasor_v1=None):
         radii = scen.radius_km * np.sqrt(rng.random(size))
         # the LOS probability through the elevation angle, exp(-eta * cot)
         zeta = np.radians(np.degrees(np.arctan2(scen.altitude_km, radii)))
@@ -402,8 +470,8 @@ class TestDrawBitIdentity:
         z = np.where(states, z_los, z_nlos)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=size + (n_antennas,))
         std = np.where(states, np.sqrt(lp.beta), np.sqrt(nlp.beta))
-        scatter = cls.complex_normals(std[..., None], size + (n_antennas,), rng)
-        return los(z, phases) + scatter
+        scatter = cls.complex_normals(std[..., None], size + (n_antennas,), rng, phasor_v1)
+        return cls.los(z, phases, phasor_v1) + scatter
 
     @staticmethod
     def assert_same_bits(actual, expected):
@@ -444,43 +512,51 @@ class TestDrawBitIdentity:
         expected = self.dynamic_reference(scen, 16, substream(13, 0), (500, 24))
         self.assert_same_bits(actual, expected)
 
-    # the float32 cos/sin bits the golden outputs rest on; they belong to a
-    # NumPy build and CPU SIMD class, and a change there fails here first
+    # the float32 cos/sin and float64 log1p bits the golden outputs rest
+    # on: the phasors and the Box-Muller radii; they belong to a NumPy build
+    # and CPU SIMD class, and a change there fails here first
     TRIG_DIGEST = "916bd121b6bc108df726adb044fa882715f1c035ac57c3f39e258d184070f3a2"
+    LOG1P_DIGEST = "9bc3dcd743cef685c180e4aac3109162e746a4d825be2bd5c3cb51da33721211"
 
     def test_float32_trig_bits_pinned(self):
         phases = substream(11, 0).uniform(0.0, 2.0 * np.pi, size=100_000).astype(np.float32)
         digest = hashlib.sha256(np.cos(phases).tobytes() + np.sin(phases).tobytes()).hexdigest()
         assert digest == self.TRIG_DIGEST
 
+    def test_float64_log1p_bits_pinned(self):
+        u = substream(11, 0).random(100_000)
+        assert hashlib.sha256(np.log1p(-u).tobytes()).hexdigest() == self.LOG1P_DIGEST
+
     @classmethod
     def assert_only_phasor_rounding_moved(cls, draw, draw_v1):
-        """`draw(rng)` is a sampler and `draw_v1(rng, los)` its reference with
-        the float64 phasor of stream version 1: from one substream both must
-        leave the generator in the same state, and differ by at most the
-        float32 phasor's 4e-7 times the LOS amplitude Z."""
+        """`draw(rng)` is a sampler and `draw_v1(rng, phasor)` its reference
+        with the float64 phasor of stream version 1: from one substream both
+        must leave the generator in the same state, and differ by at most the
+        float32 phasor's 4e-7 times the LOS amplitude Z plus the scatter's
+        Box-Muller radius."""
         amplitudes = []
 
-        def los_v1(z, phases):
-            amplitudes.append(z[..., None])
-            return cls.los_v1(z, phases)
+        def phasor_v1(amplitude, angle):
+            amplitudes.append(amplitude)
+            return amplitude * np.exp(1j * angle)
 
         rng, rng_v1 = substream(14, 0), substream(14, 0)
         actual = draw(rng)
-        expected = draw_v1(rng_v1, los_v1)
+        expected = draw_v1(rng_v1, phasor_v1)
         assert rng.bit_generator.state == rng_v1.bit_generator.state
-        assert np.all(np.abs(actual - expected) <= 4e-7 * amplitudes[0] + 1e-14)
+        radius, z = amplitudes
+        assert np.all(np.abs(actual - expected) <= 4e-7 * (z + radius))
 
     @pytest.mark.parametrize("params", [SCENARIOS["FHS"], SCENARIOS["ILS"]], ids=["FHS", "ILS"])
     def test_static_stream_unchanged(self, params):
         self.assert_only_phasor_rounding_moved(
             lambda rng: sample_channel_array(params, 8, rng, size=(3000, 12)),
-            lambda rng, los: self.static_reference(params, 8, rng, (3000, 12), los),
+            lambda rng, phasor: self.static_reference(params, 8, rng, (3000, 12), phasor),
         )
 
     def test_dynamic_stream_unchanged(self):
         scen = DynamicScenario(radius_km=600.0)
         self.assert_only_phasor_rounding_moved(
             lambda rng: scen.draw(rng, 16, (500, 24)),
-            lambda rng, los: self.dynamic_reference(scen, 16, rng, (500, 24), los),
+            lambda rng, phasor: self.dynamic_reference(scen, 16, rng, (500, 24), phasor),
         )

@@ -223,7 +223,7 @@ class TestAnalyze:
             ),
             (
                 ["validate", "--pt-db", "-170", "--trials", "1000"],
-                "[PASS] rate-approximation: closed=1.19189e-16 mc=1.19753e-16 rel=0.0047 (tol 0.05)\n",
+                "[PASS] rate-approximation: closed=1.19189e-16 mc=1.1915e-16 rel=0.0003 (tol 0.05)\n",
             ),
         ],
         ids=["analyze-db", "analyze-db-gain", "analyze-linear-gain", "validate"],
@@ -434,8 +434,9 @@ class TestSimulate:
         [
             ["validate", "--pt-db", "3082", "--trials", "1000"],
             ["simulate", "--pt-db", "3082", "--trials", "1000"],
-            # every batch's sums are finite, but their total overflows
-            ["simulate", "--pt-db", "1520", "--trials", "20000"],
+            # every batch's mean and sum of squared deviations are finite,
+            # but their merge overflows (1530-1532 dB at this seed)
+            ["simulate", "--pt-db", "1531", "--trials", "20000"],
         ],
         ids=["validate", "simulate", "simulate-batch-total"],
     )

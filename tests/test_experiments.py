@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reference import effective_sum_rate, moment_samples, sample_block
 from vccsat import experiments
@@ -83,13 +86,34 @@ class TestEstimate:
         assert (mean3 == mean).all() and (se3 == se).all()
 
     def test_constant_samples_give_zero_std_error(self):
-        # for these values sumsq - n*mean^2 rounds below zero, so the zero
-        # comes from the clamp
-        x = np.full(BATCH_TRIALS - 1, 0.1)
-        assert (x * x).sum() - x.size * (x.sum() / x.size) ** 2 < 0
-        mean, se = _estimate(lambda rng, n: np.full(n, 0.1), x.size, 0, 0, 1)
-        assert mean == pytest.approx(0.1, rel=1e-12)
-        assert se == 0.0
+        # a one-pass sum of squares left an SE of 1.5e-11 (0.1) and 2.9e-10
+        # (1.1) at 8192 trials here
+        for trials in (BATCH_TRIALS - 1, 2 * BATCH_TRIALS):
+            for value in (0.1, 1.1):
+                mean, se = _estimate(lambda rng, n: np.full(n, value), trials, 0, 0, 1)
+                assert (mean, se) == (value, 0.0), (trials, value)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            st.integers(100, 600),
+            elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+        ),
+        batch=st.integers(1, 600),
+    )
+    def test_any_batch_split_matches_two_pass(self, x, batch):
+        # well-conditioned samples: the spread is not lost below the mean's
+        # rounding, where any two variance algorithms may disagree
+        var = np.var(x, ddof=1)
+        assume(var == 0.0 or var > 1e-8 * np.mean(x) ** 2)
+        with pytest.MonkeyPatch.context() as patch:
+            # batch j of `batch` trials reads x from its offset j * batch
+            patch.setattr(experiments, "BATCH_TRIALS", batch)
+            patch.setattr(experiments, "substream", lambda seed, stream, j: j * batch)
+            mean, se = _estimate(lambda offset, n: x[offset : offset + n], x.size, 0, 0, 1)
+        np.testing.assert_allclose(mean, x.mean(), rtol=1e-12, atol=1e-12 * np.abs(x).max())
+        np.testing.assert_allclose(se**2 * x.size, var, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("estimate", ESTIMATORS)
     def test_floors_rejected_before_any_draw(self, monkeypatch, estimate):
@@ -191,9 +215,9 @@ class TestBatchMemory:
     def test_peak_set_by_one_chunk(self, config, estimate):
         # a batch draws its channels one chunk at a time, so its peak is a
         # few times one chunk's channel array, 6144 users x L complex128
-        # whatever G (4.4-5.2x measured), and at most the peak of a
+        # whatever G (4.7-5.6x measured), and at most the peak of a
         # one-chunk batch plus the previous chunk, held while the next one is
-        # drawn, and the batch's per-trial values (1.21-1.48x measured); a
+        # drawn, and the batch's per-trial values (1.31-1.58x measured); a
         # batch-sized channel array is 5.3 (G=1) to 32 (G=6) chunks' worth
         def peak(trials):
             tracemalloc.start()
