@@ -136,10 +136,12 @@ def q_optimised_gain(q_vcc, rates_vcc, q_base, rates_base, se_vcc=None, se_base=
     standard errors), indexed like that side's ascending q grid.  Each side
     takes its largest rate, ties going to the smaller q (lower CSI overhead
     at equal rate), and the gain is their ratio.  A baseline whose best rate
-    is not positive (log2(1 + SINR) rounds to 0 at tiny powers) is rejected."""
+    is below the smallest normal double is rejected: 0 once alpha^2 itself
+    underflows, and a subnormal rate keeps too few bits for its ratio to
+    mean anything."""
     vi, bi = int(np.argmax(rates_vcc)), int(np.argmax(rates_base))
     rate_v, rate_b = float(rates_vcc[vi]), float(rates_base[bi])
-    if not rate_b > 0:
+    if not rate_b >= np.finfo(float).tiny:
         raise ValueError(f"the baseline's best rate is {rate_b}, so the gain is undefined")
     gain = rate_v / rate_b
     if se_vcc is None:

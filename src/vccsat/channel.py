@@ -18,7 +18,7 @@ Monte Carlo engine and the power normalisation take either one as
 
 Every phasor, the LOS term's exp(j*theta_l) and the scatter's, is
 evaluated from float32 cos/sin of the float64 angle, widened to float64 and
-rescaled to unit modulus (`_phasor`): its modulus is 1 to within
+rescaled to unit modulus (`_phasors`): its modulus is 1 to within
 1e-15 and its angle within 4e-7 rad of the float64 angle.  The complex
 Gaussians of the scatter and of the estimation noise are polar Box-Muller
 (`_complex_normals`): from uniforms u1, u2 in [0, 1), the radius
@@ -125,34 +125,32 @@ def _los_amplitudes(params: ShadowingParams, size, rng) -> np.ndarray:
 _BLOCK_BYTES = 1 << 17
 
 
-def _blocks(
-    n_rows: int, width: int
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield `(rows, angle, cos, sin, norm, square)` for consecutive row
-    slices of [0, n_rows) of at most `_BLOCK_BYTES` of float64 each: a
-    float32 buffer and four float64 buffers for `_phasor`, each shaped
-    (rows, width) and allocated once for all blocks."""
-    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
-    n = min(step, n_rows)
-    buffers = [np.empty((n, width), dtype=np.float32)] + [np.empty((n, width)) for _ in range(4)]
-    for a in range(0, n_rows, step):
-        rows = slice(a, min(a + step, n_rows))
-        yield rows, *(b[: rows.stop - a] for b in buffers)
-
-
-def _phasor(angle, cos, sin, norm2, square) -> None:
-    """Set `cos` and `sin` to the float32 cos and sin of the float32 `angle`,
-    widened to float64, and `norm2` to cos*cos + sin*sin, with `square` as
-    scratch.
+def _phasors(u: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield `(rows, cos, sin, norm2, scratch)` for consecutive row slices of the
+    uniforms `u`, shaped (n_rows, width), of at most `_BLOCK_BYTES` of float64
+    each: `cos` and `sin` the float32 cos and sin of the float32-rounded angle
+    2 pi u[rows], widened to float64, `norm2` = cos*cos + sin*sin, and a
+    float64 `scratch` of the same shape.  The buffers are allocated once for
+    all blocks; a caller may overwrite them.
 
     NumPy's float32 cos/sin run on SIMD instead of scalar libm.  A caller
     scales both parts by amplitude / sqrt(norm2): that rescale gives every
     phasor unit modulus to within 1e-15, and its angle is within 4e-7 rad of
-    the float64 angle that was rounded to `angle` (3e-7 measured)."""
-    np.cos(angle, out=cos, dtype=np.float32)
-    np.sin(angle, out=sin, dtype=np.float32)
-    np.multiply(cos, cos, out=norm2)
-    norm2 += np.multiply(sin, sin, out=square)
+    the float64 angle 2 pi u (3e-7 measured)."""
+    n_rows, width = u.shape
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    n = min(step, n_rows)
+    angle = np.empty((n, width), dtype=np.float32)
+    cos, sin, norm2, square = (np.empty((n, width)) for _ in range(4))
+    for a in range(0, n_rows, step):
+        rows = slice(a, min(a + step, n_rows))
+        c, s, n2, sq, ang = (b[: rows.stop - a] for b in (cos, sin, norm2, square, angle))
+        ang[...] = np.multiply(u[rows], TWO_PI, out=c)
+        np.cos(ang, out=c, dtype=np.float32)
+        np.sin(ang, out=s, dtype=np.float32)
+        np.multiply(c, c, out=n2)
+        n2 += np.multiply(s, s, out=sq)
+        yield rows, c, s, n2, sq
 
 
 def _complex_normals(scale, shape, rng) -> np.ndarray:
@@ -160,23 +158,21 @@ def _complex_normals(scale, shape, rng) -> np.ndarray:
     `scale` times a standard normal; `scale` broadcasts against `shape`.
 
     Polar Box-Muller from one `rng.random(shape + (2,))` draw of (u1, u2)
-    pairs: the squared radius -2 log1p(-u1) in float64 and the `_phasor` of
-    the angle 2 pi u2, written back over the pairs block by block and viewed
-    as complex128.  So the draw gives the bits of
+    pairs: the squared radius -2 log1p(-u1) in float64 and the `_phasors` of
+    u2, written back over the pairs block by block and viewed as complex128.
+    So the draw gives the bits of
 
         sqrt(-2 log1p(-u1) / (c*c + s*s)) * scale * (c + 1j*s)
 
-    with c, s the widened float32 cos/sin of the float32-rounded angle, and
-    allocates nothing of its size but the draw itself; a per-element `scale`
-    is read per block, never broadcast to `shape`."""
+    with c, s the widened float32 cos/sin of the float32-rounded angle
+    2 pi u2, and allocates nothing of its size but the draw itself; a
+    per-element `scale` is read per block, never broadcast to `shape`."""
     shape = tuple(shape)
     pairs = rng.random(shape + (2,))
     u = pairs.reshape(math.prod(shape[:-1]), shape[-1], 2)
     scale_rows = np.broadcast_to(scale, shape).reshape(len(u), shape[-1])
-    for rows, angle, cos, sin, norm2, square in _blocks(len(u), shape[-1]):
+    for rows, cos, sin, norm2, square in _phasors(u[:, :, 1]):
         u1, u2 = u[rows, :, 0], u[rows, :, 1]
-        angle[...] = np.multiply(u2, TWO_PI, out=cos)
-        _phasor(angle, cos, sin, norm2, square)
         # the radius over the phasor's modulus, under one square root
         np.negative(u1, out=square)
         np.log1p(square, out=square)
@@ -191,22 +187,22 @@ def _complex_normals(scale, shape, rng) -> np.ndarray:
 
 def _rician(z: np.ndarray, scatter_std, n_antennas: int, rng) -> np.ndarray:
     """Channels z * exp(j*theta_l) + scatter of shape (*z.shape, n_antennas):
-    draws the float64 phases, then the scatter, then adds the LOS term into
-    the scatter by parts, block by block.
+    draws the uniforms of the phases theta_l = 2 pi u, then the scatter, then
+    adds the LOS term into the scatter by parts, block by block.
 
-    The LOS phasor is `_phasor`'s, scaled by z / sqrt(c*c + s*s), so |h_l| of
+    The LOS phasor is `_phasors`', scaled by z / sqrt(c*c + s*s), so |h_l| of
     a scatter-free channel is z for every antenna.  Only the rounding of the
     float32 phasors, the LOS term's and the scatter's, differs from the
     float64 `np.exp(1j * angle)`: the random draws are the same calls in the
     same order (tests/test_channel.py pins both the bits and the generator
     state)."""
+    if n_antennas < 1:
+        raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
     shape = z.shape + (n_antennas,)
-    phases = rng.uniform(0.0, TWO_PI, size=shape).reshape(-1, n_antennas)
+    phases = rng.random(shape).reshape(-1, n_antennas)
     h = _complex_normals(scatter_std, shape, rng)
     rows, z_col = h.reshape(-1, n_antennas), z.reshape(-1, 1)
-    for block, angle, cos, sin, norm, square in _blocks(len(rows), n_antennas):
-        angle[...] = phases[block]
-        _phasor(angle, cos, sin, norm, square)
+    for block, cos, sin, norm, _ in _phasors(phases):
         np.sqrt(norm, out=norm)
         np.divide(z_col[block], norm, out=norm)
         cos *= norm
@@ -222,8 +218,6 @@ def sample_channel_array(params: ShadowingParams, n_antennas: int, rng, size=())
     Draw order is fixed (LOS amplitudes, phases, scatter) so results are
     reproducible for a given generator state.
     """
-    if n_antennas < 1:
-        raise ValueError(f"n_antennas must be >= 1, got {n_antennas}")
     z = _los_amplitudes(params, size, rng)
     return _rician(z, np.sqrt(params.beta), n_antennas, rng)
 

@@ -32,7 +32,7 @@ from . import analysis
 # unused here, but perfbench/tests/test_perfbench_tracer.py checks that the
 # tracer rebinds it in this module
 from .channel import ShadowingParams, estimation_noise, sample_channel_array, substream  # noqa: F401
-from .linkphy import SystemConfig
+from .linkphy import SystemConfig, sinr_batch
 
 BATCH_TRIALS = 4096  # fixed: changing it changes the draw stream
 # users (trials x G x draw width) per chunk, which bounds a batch's channel,
@@ -153,25 +153,14 @@ def _rate_kernel(config: SystemConfig, q_grid: list[int], pt_values: list[float]
         xi[qi] = cfg_q.xi
         for pi, pt in enumerate(pt_values):
             alpha2[pi, qi] = analysis.alpha2_closed_form(replace(cfg_q, p_t=pt))
-    # alpha2 of q index qi for every power, shaped to broadcast over (P, chunk, G, q)
-    alpha2_b = alpha2[:, :, None, None, None]
 
     def rates(h: np.ndarray, h_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         # inner[n, g, b, c] = h_gb^T hhat_gc^*, via batched matmul
         inner = h @ np.conjugate(h_hat, out=h_hat).swapaxes(-1, -2)
         power = inner.real**2 + inner.imag**2
         for qi, q in enumerate(q_grid):
-            pq = power[:, :, :q, :q]
-            signal = np.diagonal(pq, axis1=2, axis2=3).copy()
-            interference = pq.sum(axis=3) - signal
-            # sinr = a2 * signal / (1 + a2 * interference) for every power
-            # at once: a few large ufunc calls per chunk and q, not a few
-            # per power, so two workers seldom wait on each other for the GIL
-            a2 = alpha2_b[:, qi]
-            denominator = a2 * interference
-            np.add(1.0, denominator, out=denominator)
-            sinr = a2 * signal
-            np.divide(sinr, denominator, out=sinr)
+            # every power at once: alpha2 of q index qi, shaped (P, 1, 1, 1)
+            sinr = sinr_batch(power[:, :, :q, :q], alpha2[:, qi, None, None, None])
             np.log1p(sinr, out=sinr)
             out[:, qi] = xi[qi] * _INV_LN2 * sinr.sum(axis=(2, 3))
         return power

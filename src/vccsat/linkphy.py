@@ -75,19 +75,21 @@ class SystemConfig:
         return float(10.0 * np.log10(self.p_t * self.shadowing.element_power()))
 
 
-def sinr_batch(true_h: np.ndarray, est_h: np.ndarray, alpha2: float) -> np.ndarray:
-    """Post-cancellation SINR per user for arrays shaped (..., G, Q, L).
+def sinr_batch(power: np.ndarray, alpha2) -> np.ndarray:
+    """Post-cancellation SINR of every user of a group from the group's Gram
+    powers power[..., b, c] = |h_b^T hhat_c^*|^2, shaped (..., Q, Q).
 
-    For user (g, b): alpha^2 |h_gb^T hhat_gb^*|^2 over 1 + alpha^2 times the
-    intra-group sum over the other q_mux - 1 users of the same group; the
-    inter-group terms are absent by cache-aided cancellation.  Noise power 1.
-    The Monte Carlo engine evaluates the same expression inside its (q, P_t)
-    loop; this form is the one the per-block test reference uses.
+    For user b: alpha^2 power[..., b, b] over 1 + alpha^2 times the intra-group
+    interference, the sum of power[..., b, c] over the other Q - 1 users c;
+    the inter-group terms are absent by cache-aided cancellation.  Noise
+    power 1.  `alpha2` (0 allowed) broadcasts against the (..., Q) result,
+    so one call evaluates a whole power grid: a few large ufunc calls rather
+    than a few per power, so two workers seldom wait on each other for the GIL.
     """
-    if not alpha2 > 0:
-        raise ValueError(f"alpha2 must be > 0, got {alpha2}")
-    inner = true_h @ est_h.conj().swapaxes(-1, -2)
-    power = inner.real**2 + inner.imag**2
-    signal = np.diagonal(power, axis1=-2, axis2=-1)
+    signal = np.diagonal(power, axis1=-2, axis2=-1).copy()
     interference = power.sum(axis=-1) - signal
-    return alpha2 * signal / (1.0 + alpha2 * interference)
+    denominator = alpha2 * interference
+    np.add(1.0, denominator, out=denominator)
+    sinr = alpha2 * signal
+    np.divide(sinr, denominator, out=sinr)
+    return sinr

@@ -145,26 +145,26 @@ class TestChannelSampling:
     def test_phasor_precision(self):
         # the float32 phasor of 1e6 uniform phases and of phases next to 0
         # and 2*pi, fed to the sampler by a generator stub with no scatter:
-        # its uniforms give the Box-Muller scatter radius 0
-        class Phases:
-            def uniform(self, low, high, size):
-                return theta.reshape(size)
-
-            def random(self, shape):
-                return np.zeros(shape)
-
-        tiny = np.arange(1000) * np.spacing(np.pi)
-        theta = np.concatenate(
+        # the phases' uniforms, then zeros, which give the Box-Muller
+        # scatter radius 0
+        ulp = 2.0**-53  # spacing of the generator's uniforms on [0, 1)
+        u = np.concatenate(
             [
-                np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 1_000_000),
-                tiny,
-                np.nextafter(2.0 * np.pi, 0.0) - tiny,
-                np.linspace(0.0, 1e-6, 1000),
-                2.0 * np.pi - np.linspace(1e-9, 1e-6, 1000),
+                np.random.default_rng(11).random(1_000_000),
+                np.arange(1000) * ulp,
+                1.0 - np.arange(1, 1001) * ulp,
+                np.linspace(0.0, 1e-6, 1000) / (2.0 * np.pi),
+                1.0 - np.linspace(1e-9, 1e-6, 1000) / (2.0 * np.pi),
             ]
         )
-        phasor = _rician(np.ones(theta.size), 0.0, 1, Phases())[:, 0]
-        assert np.abs(phasor - np.exp(1j * theta)).max() <= 4e-7
+        draws = iter([u, np.zeros(2 * u.size)])
+
+        class Uniforms:
+            def random(self, shape):
+                return next(draws).reshape(shape)
+
+        phasor = _rician(np.ones(u.size), 0.0, 1, Uniforms())[:, 0]
+        assert np.abs(phasor - np.exp(2j * np.pi * u)).max() <= 4e-7
         assert np.abs(np.abs(phasor) - 1.0).max() <= 1e-15
 
     def test_cross_element_uncorrelated(self):
@@ -175,10 +175,12 @@ class TestChannelSampling:
         se = np.sqrt(prod.real.var(ddof=1) + prod.imag.var(ddof=1)) / np.sqrt(prod.shape[0])
         assert abs(prod.mean()) <= 3 * se
 
-    def test_antenna_count_validated(self):
+    @pytest.mark.parametrize("n_antennas", [0, -1])
+    @pytest.mark.parametrize("model", [SCENARIOS["AS"], DynamicScenario()], ids=["static", "dynamic"])
+    def test_antenna_count_validated(self, model, n_antennas):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            SCENARIOS["AS"].draw(rng, 0, ())
+        with pytest.raises(ValueError, match=f"n_antennas must be >= 1, got {n_antennas}"):
+            model.draw(rng, n_antennas, (3,))
 
 
 class TestEstimationError:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference import effective_sum_rate, moment_samples, sample_block
+from reference import block_sinr, effective_sum_rate, moment_samples, q1_rate, sample_block
 from vccsat import experiments
 from vccsat.analysis import (
     alpha2_closed_form,
@@ -30,7 +30,7 @@ from vccsat.experiments import (
     oracle_suite,
     sweep,
 )
-from vccsat.linkphy import SystemConfig, sinr_batch
+from vccsat.linkphy import SystemConfig
 
 
 def make_config(**kwargs):
@@ -274,20 +274,52 @@ class TestEstimatorBehaviour:
     def test_rate_agrees_with_per_block_path_where_closed_form_is_loosest(self):
         # ILS, G=1, Q=2, 21 dB: the cell where the log-of-means closed form
         # is furthest from Monte Carlo.  The batched engine and the per-block
-        # reference path (sample_block -> sinr_batch -> effective_sum_rate)
+        # reference path (sample_block -> block_sinr -> effective_sum_rate)
         # agree, so the gap belongs to the approximation, not the engine.
         config = make_config(shadowing=SCENARIOS["ILS"], g_groups=1, q_mux=2, p_t=10**2.1)
         engine = mc_sum_rate(config, trials=20_000, seed=0)
         alpha2 = alpha2_closed_form(config)
         rng = substream(0, 97)
         rates = np.array([
-            effective_sum_rate(sinr_batch(*sample_block(config, rng), alpha2), config)
+            effective_sum_rate(block_sinr(*sample_block(config, rng), alpha2), config)
             for _ in range(20_000)
         ])
         block_mean = rates.mean()
         block_se = rates.std(ddof=1) / np.sqrt(rates.size)
         combined_se = np.hypot(engine.std_error, block_se)
         assert abs(engine.mean - block_mean) <= 4 * combined_se
+
+
+class TestExactQ1Rate:
+    """At Q = 1 the rate has an exact law (`reference.q1_rate`), a third
+    route beside the closed form and Monte Carlo: L=8, 18.1 dB, sigma^2 =
+    0.125."""
+
+    MODELS = [SCENARIOS["FHS"], SCENARIOS["AS"], SCENARIOS["ILS"], DynamicScenario()]
+    MODEL_IDS = ["FHS", "AS", "ILS", "mixture"]
+
+    @staticmethod
+    def config(model, g_groups):
+        return make_config(shadowing=model, g_groups=g_groups, q_mux=1, p_t=10**1.81)
+
+    @pytest.mark.parametrize("name, rate", [("AS", 37.25454651), ("ILS", 41.11960859), ("FHS", 15.74053212)])
+    def test_reproduces_reference_values(self, name, rate):
+        # the values of an independent evaluation at G=6, to 8 digits
+        assert round(q1_rate(self.config(SCENARIOS[name], 6)), 8) == rate
+
+    @pytest.mark.parametrize("g_groups", [1, 6])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_monte_carlo_within_3se(self, model, g_groups):
+        config = self.config(model, g_groups)
+        est = mc_sum_rate(config, trials=100_000, seed=1)
+        assert abs(est.mean - q1_rate(config)) <= 3 * est.std_error
+
+    @pytest.mark.parametrize("g_groups", [1, 6])
+    @pytest.mark.parametrize("model", MODELS[:3], ids=MODEL_IDS[:3])
+    def test_closed_form_is_a_jensen_bound(self, model, g_groups):
+        # log2(1 + alpha^2 E|h^T hhat^*|^2) >= E log2(1 + alpha^2 |h^T hhat^*|^2)
+        config = self.config(model, g_groups)
+        assert avg_sum_rate_closed_form(config) >= q1_rate(config)
 
 
 class TestMomentOracle:

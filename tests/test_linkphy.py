@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from reference import (
+    block_sinr,
     effective_sum_rate,
+    gram_powers,
     full_signal_roundtrip,
     inter_group_component,
     intra_group_reference,
@@ -105,17 +107,18 @@ class TestMfPrecoder:
 
 
 class TestSinr:
+    # sinr_batch reads Gram powers |h_b^T hhat_c^*|^2 shaped (..., Q, Q)
     def test_single_user_has_no_interference(self):
         config = make_config(g_groups=1, q_mux=1, shadowing=scenario("ILS"))
         rng = substream(1, 0)
         h, h_hat = sample_block(config, rng)
-        sinr = sinr_batch(h, h_hat, alpha2=0.5)
+        sinr = sinr_batch(gram_powers(h, h_hat), alpha2=0.5)
         assert sinr.shape == (1, 1)
         assert sinr[0, 0] == pytest.approx(0.5 * abs(h[0, 0] @ h_hat[0, 0].conj()) ** 2)
 
     def test_all_ones_perfect_csit(self):
         h = np.ones((1, 1, 4), dtype=complex)
-        sinr = sinr_batch(h, h.copy(), alpha2=1.0)
+        sinr = sinr_batch(gram_powers(h, h.copy()), alpha2=1.0)
         assert sinr[0, 0] == pytest.approx(16.0)
 
     def test_interference_only_from_same_group(self):
@@ -123,16 +126,16 @@ class TestSinr:
         config = make_config(g_groups=2, q_mux=2, l_antennas=4)
         rng = substream(1, 1)
         h, h_hat = sample_block(config, rng)
-        sinr_full = sinr_batch(h, h_hat, 0.3)
+        sinr_full = sinr_batch(gram_powers(h, h_hat), 0.3)
         keep = np.array([1.0, 0.0])[:, None, None]
-        sinr_isolated = sinr_batch(h * keep, h_hat * keep, 0.3)
+        sinr_isolated = sinr_batch(gram_powers(h * keep, h_hat * keep), 0.3)
         assert np.allclose(sinr_full[0], sinr_isolated[0])
 
     def test_monotone_in_alpha2_single_user(self):
         config = make_config(g_groups=1, q_mux=1)
         rng = substream(1, 2)
-        h, h_hat = sample_block(config, rng)
-        values = [sinr_batch(h, h_hat, a2)[0, 0] for a2 in (0.1, 1.0, 10.0)]
+        power = gram_powers(*sample_block(config, rng))
+        values = [sinr_batch(power, a2)[0, 0] for a2 in (0.1, 1.0, 10.0)]
         assert values[0] < values[1] < values[2]
 
     def test_interference_limited_ceiling(self):
@@ -141,18 +144,34 @@ class TestSinr:
         h, h_hat = sample_block(config, rng)
         power = np.abs(h[0] @ h_hat[0].conj().T) ** 2
         ceiling = power[0, 0] / (power[0, 1:].sum())
-        big = sinr_batch(h, h_hat, 1e9)[0, 0]
+        big = sinr_batch(power, 1e9)[0]
         assert big == pytest.approx(ceiling, rel=1e-6)
-        assert sinr_batch(h, h_hat, 1.0)[0, 0] < ceiling
+        assert sinr_batch(power, 1.0)[0] < ceiling
 
     def test_batch_matches_single_block(self):
         config = make_config(g_groups=3, q_mux=2, l_antennas=4)
         rng = substream(1, 4)
-        blocks = [sample_block(config, rng) for _ in range(5)]
-        h, h_hat = (np.stack(side) for side in zip(*blocks))
-        batched = sinr_batch(h, h_hat, 0.7)
-        for i, block in enumerate(blocks):
-            assert np.allclose(batched[i], sinr_batch(*block, 0.7))
+        powers = [gram_powers(*sample_block(config, rng)) for _ in range(5)]
+        batched = sinr_batch(np.stack(powers), 0.7)
+        for i, power in enumerate(powers):
+            assert np.allclose(batched[i], sinr_batch(power, 0.7))
+
+    def test_matches_per_block_reference(self):
+        config = make_config(g_groups=3, q_mux=4, l_antennas=8)
+        h, h_hat = sample_block(config, substream(1, 5))
+        assert np.allclose(sinr_batch(gram_powers(h, h_hat), 0.7), block_sinr(h, h_hat, 0.7), rtol=1e-13, atol=0)
+
+    def test_power_grid_is_one_call_per_power(self):
+        # an alpha2 shaped (P, 1, 1) evaluates every power of a grid with the
+        # bits of one call per power; alpha2 = 0 gives SINR 0
+        config = make_config(g_groups=3, q_mux=4, l_antennas=8)
+        power = gram_powers(*sample_block(config, substream(1, 6)))
+        alpha2 = np.array([0.0, 5e-324, 0.01, 1.0, 1e9])
+        grid = sinr_batch(power, alpha2[:, None, None])
+        assert grid.shape == (5, 3, 4)
+        for row, a2 in zip(grid, alpha2):
+            assert np.array_equal(row, sinr_batch(power, a2))
+        assert np.all(grid[0] == 0.0)
 
 
 class TestEffectiveSumRate:

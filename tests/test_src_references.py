@@ -11,7 +11,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "vccsat"
 
 # module.name -> why it stays in src/ with no caller there
 ALLOWED = {
-    "linkphy.sinr_batch": "wrapped by perfbench/tracer.py",
     "experiments.mc_transmit_power": "wrapped by perfbench/tracer.py; acceptance c02 checks it",
     "experiments.mc_moment_oracle": "wrapped by perfbench/tracer.py; acceptance c01 checks it",
 }
