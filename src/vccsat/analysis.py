@@ -36,15 +36,14 @@ class Moments(NamedTuple):
 @dataclass(frozen=True)
 class GainResult:
     """Q-optimised spectral-efficiency gain of caching over the cacheless
-    baseline, with the maximising multiplexing orders and the two rates."""
+    baseline, with the maximising multiplexing orders, the two rates and,
+    from Monte Carlo rates, the gain's standard error."""
 
     gain: float
     best_q_vcc: int
     best_q_baseline: int
     rate_vcc: float
     rate_baseline: float
-    rate_vcc_stderr: float | None = None
-    rate_baseline_stderr: float | None = None
     gain_stderr: float | None = None
 
 
@@ -144,11 +143,10 @@ def q_optimised_gain(q_vcc, rates_vcc, q_base, rates_base, se_vcc=None, se_base=
     if not rate_b >= np.finfo(float).tiny:
         raise ValueError(f"the baseline's best rate is {rate_b}, so the gain is undefined")
     gain = rate_v / rate_b
-    if se_vcc is None:
-        return GainResult(gain, q_vcc[vi], q_base[bi], rate_v, rate_b)
-    se_v, se_b = float(se_vcc[vi]), float(se_base[bi])
-    gain_se = abs(gain) * np.hypot(se_v / rate_v, se_b / rate_b)
-    return GainResult(gain, q_vcc[vi], q_base[bi], rate_v, rate_b, se_v, se_b, gain_se)
+    gain_se = None
+    if se_vcc is not None:
+        gain_se = abs(gain) * np.hypot(float(se_vcc[vi]) / rate_v, float(se_base[bi]) / rate_b)
+    return GainResult(gain, q_vcc[vi], q_base[bi], rate_v, rate_b, gain_se)
 
 
 def effective_gain_closed_form(

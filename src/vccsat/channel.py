@@ -95,16 +95,6 @@ SCENARIOS = {
 }
 
 
-def scenario(name: str) -> ShadowingParams:
-    """Look up a shadowing preset by name (FHS, AS or ILS)."""
-    try:
-        return SCENARIOS[name.upper()]
-    except KeyError:
-        raise ValueError(
-            f"unknown shadowing scenario {name!r}; choose from {sorted(SCENARIOS)}"
-        ) from None
-
-
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named RNG substream: deterministic in (seed, key), independent of the
     order in which substreams are created or consumed."""

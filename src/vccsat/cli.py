@@ -1,10 +1,13 @@
 """Command-line front end: analyze, simulate, figure, schedule, validate.
 
-Configuration comes from an optional flat key=value file plus flags (flags
-win).  Power is given in dB (pt_db) or linear (pt_linear).  All result files
-are accompanied by a JSON manifest recording the resolved configuration,
-seed and tool version; rerunning a command with the same arguments and seed
-reproduces every CSV byte for byte, for any worker count.
+Configuration comes from defaults, an optional flat key=value file and flags,
+each source overriding the one before.  Power is given in dB (pt_db) or
+linear (pt_linear), and the channel as a scenario or a custom (m, beta,
+omega) triple: one form per source, which drops the other form's keys set by
+earlier sources.  All result files are accompanied by a JSON manifest
+recording the resolved configuration, seed and tool version; rerunning a
+command with the same arguments and seed reproduces every CSV byte for byte,
+for any worker count.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, analysis, experiments
 from .caching import CacheLayout, build_schedule, schedule_to_dict, verify_completeness
-from .channel import SCENARIOS, STREAM_VERSION, DynamicScenario, ShadowingParams, scenario
+from .channel import SCENARIOS, STREAM_VERSION, DynamicScenario, ShadowingParams
 from .linkphy import SystemConfig
 
 # 3 dB steps plus the 18.1 dB link-budget operating point
@@ -32,7 +35,7 @@ FIGURE_PT_GRID_DB = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 18.1, 21.0]
 
 class _Option(NamedTuple):
     flag: str
-    type: type
+    type: Callable[[str], object]
     default: object  # None: the key is unset unless a file or flag gives it
     help: str
     choices: list[str] | None = None
@@ -46,9 +49,7 @@ class _Option(NamedTuple):
 # every config key and its flag, by the key groups that commands read
 _OPTIONS = {
     "point": [
-        _Option(
-            "--scenario", str, "AS", "shadowing preset", sorted(SCENARIOS) + [s.lower() for s in SCENARIOS]
-        ),
+        _Option("--scenario", str.upper, "AS", "shadowing preset", sorted(SCENARIOS)),
         _Option("--m", float, None, "custom Nakagami shape"),
         _Option("--beta", float, None, "custom half scattering power"),
         _Option("--omega", float, None, "custom LOS power"),
@@ -75,6 +76,9 @@ _OPTIONS = {
 }
 _KEYS = {o.key: o for group in _OPTIONS.values() for o in group}
 
+# the settings given in one of two forms: power in dB or linear, a preset or a custom channel
+_FORMS = [(("pt_db",), ("pt_linear",)), (("scenario",), ("m", "beta", "omega"))]
+
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat key = value text; blank lines and # comments ignored."""
@@ -91,13 +95,13 @@ def parse_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-        kind = _KEYS[key].type
+        option, text = _KEYS[key], text.strip()
         try:
-            values[key] = kind(text.strip())
+            values[key] = option.type(text)
         except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: cannot parse {key} value {text.strip()!r} as {kind.__name__}"
-            ) from None
+            raise ValueError(f"{path}:{lineno}: cannot parse {key} value {text!r} as {option.type.__name__}") from None
+        if option.choices is not None and values[key] not in option.choices:
+            raise ValueError(f"{path}:{lineno}: {key} must be one of {', '.join(option.choices)}, got {text!r}")
     return values
 
 
@@ -105,32 +109,31 @@ def _resolved(args: argparse.Namespace) -> dict:
     """defaults < config file < command-line flags.
 
     A config file may set only the keys the command registers as flags; any
-    other key would be ignored, so it is rejected."""
+    other key would be ignored, so it is rejected.  A source gives at most
+    one form of each `_FORMS` setting, and that form drops the other form's
+    keys set by earlier sources."""
     values = {key: o.default for key, o in _KEYS.items() if o.default is not None}
-    if getattr(args, "config", None):
-        from_file = parse_config_file(args.config)
-        unread = sorted(set(from_file) - set(vars(args)))
-        if unread:
-            raise ValueError(
-                f"{args.config}: vccsat {args.command} does not read config key(s) {', '.join(unread)}"
-            )
-        values.update(from_file)
-    for key in _KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    from_file = parse_config_file(args.config) if args.config else {}
+    unread = sorted(set(from_file) - set(vars(args)))
+    if unread:
+        raise ValueError(f"{args.config}: vccsat {args.command} does not read config key(s) {', '.join(unread)}")
+    flags = {key: getattr(args, key) for key in _KEYS if getattr(args, key, None) is not None}
+    for where, source in ((args.config, from_file), ("the command line", flags)):
+        for forms in _FORMS:
+            given = [[key for key in form if key in source] for form in forms]
+            if all(given):
+                raise ValueError(f"{where} gives both {' and '.join(map(', '.join, given))}; give one form")
+            for keys, other in zip(given, reversed(forms)):
+                if keys:
+                    for key in other:
+                        values.pop(key, None)
+        values.update(source)
     # checked here, before any work, for every command that takes them
     # (figure --analytic-only runs no batch but records them in its manifest)
     if "trials" in vars(args):
         for key, low in (("trials", 100), ("workers", 1), ("seed", 0)):
             if values[key] < low:
                 raise ValueError(f"{key} must be >= {low}, got {values[key]}")
-    # a power flag overrides the other unit; an explicit linear value beats
-    # the dB default
-    if getattr(args, "pt_db", None) is not None:
-        values.pop("pt_linear", None)
-    elif "pt_linear" in values:
-        values.pop("pt_db", None)
     return values
 
 
@@ -150,7 +153,7 @@ def _resolved_config(args: argparse.Namespace) -> tuple[dict, SystemConfig]:
         g_groups=values["g"],
         q_mux=values["q"],
         p_t=p_t,
-        shadowing=ShadowingParams(*(values[k] for k in custom)) if custom else scenario(values["scenario"]),
+        shadowing=ShadowingParams(*(values[k] for k in custom)) if custom else SCENARIOS[values["scenario"]],
         sigma_e2=values["sigma_e2"],
         t_coherence=values["t"],
         theta_pilot=values["theta"],
@@ -262,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     row = {
         "pt_db": 10.0 * np.log10(config.p_t),
         "snr_ave_db": config.snr_ave_db,
-        "scenario": "custom" if "m" in values else values["scenario"],
+        "scenario": values.get("scenario", "custom"),
         "L": config.l_antennas,
         "G": config.g_groups,
         "Q": config.q_mux,

@@ -4,13 +4,32 @@ explicitly, and the inter-group term regenerated and cancelled as each
 receiver would, and the SINR formed user by user from the channels, not
 from the engine's Gram powers.  Channels are plain (G, Q, L) arrays `h` and
 `h_hat`.  `norm2_cdf` is the exact law of ||h||^2 that the samplers are
-tested against, and `q1_rate` the exact Q = 1 rate built on it."""
+tested against, and `q1_rate` the exact Q = 1 rate built on it.
+`make_config` is the operating point the unit tests start from."""
 
 import numpy as np
 from scipy import special, stats
 
 from vccsat.analysis import alpha2_closed_form
-from vccsat.channel import DynamicScenario, disk_mean_los_probability, estimation_noise
+from vccsat.channel import SCENARIOS, DynamicScenario, disk_mean_los_probability, estimation_noise
+from vccsat.linkphy import SystemConfig
+
+
+def make_config(scenario="AS", **kwargs):
+    """L=8, G=6, Q=4, P_t=10, sigma_e2=0.125, T=10000, Theta=12 at the named
+    scenario; keyword arguments replace any `SystemConfig` field."""
+    base = dict(
+        l_antennas=8,
+        g_groups=6,
+        q_mux=4,
+        p_t=10.0,
+        shadowing=SCENARIOS[scenario],
+        sigma_e2=0.125,
+        t_coherence=10_000,
+        theta_pilot=12,
+    )
+    base.update(kwargs)
+    return SystemConfig(**base)
 
 
 def sample_block(config, rng):

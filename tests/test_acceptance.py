@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from reference import full_signal_roundtrip, intra_group_reference
+from reference import full_signal_roundtrip, intra_group_reference, make_config
 
 from vccsat import analysis, experiments
 from vccsat.caching import CacheLayout, build_schedule, verify_completeness
@@ -24,7 +24,6 @@ from vccsat.channel import (
     substream,
 )
 from vccsat.cli import main as cli_main
-from vccsat.linkphy import SystemConfig
 
 pytestmark = pytest.mark.slow  # deselect with -m "not slow" for a fast loop
 
@@ -40,21 +39,6 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> bool:
         line += f" — {detail}"
     print(line)
     return passed
-
-
-def make_config(scenario="AS", **kwargs):
-    base = dict(
-        l_antennas=8,
-        g_groups=6,
-        q_mux=4,
-        p_t=10.0,
-        shadowing=SCENARIOS[scenario],
-        sigma_e2=0.125,
-        t_coherence=10_000,
-        theta_pilot=12,
-    )
-    base.update(kwargs)
-    return SystemConfig(**base)
 
 
 def db(x):

@@ -14,7 +14,6 @@ from vccsat.channel import (
     estimation_noise,
     sample_channel_array,
     sample_dynamic_channel_array,
-    scenario,
     substream,
 )
 from vccsat.linkphy import SystemConfig
@@ -29,11 +28,6 @@ class TestShadowingParams:
         assert SCENARIOS["FHS"] == ShadowingParams(0.739, 0.063, 8.97e-4)
         assert SCENARIOS["AS"] == ShadowingParams(10.1, 0.126, 0.835)
         assert SCENARIOS["ILS"] == ShadowingParams(19.4, 0.158, 1.29)
-
-    def test_lookup_case_insensitive(self):
-        assert scenario("fhs") == SCENARIOS["FHS"]
-        with pytest.raises(ValueError, match="unknown shadowing scenario"):
-            scenario("URBAN")
 
     @pytest.mark.parametrize(
         "m,beta,omega",

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vccsat import experiments
 from vccsat.analysis import alpha2_closed_form, avg_sum_rate_closed_form
@@ -29,6 +34,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def analyze_json(text, *flags):
+    """`vccsat analyze --json` with `text` as its config file, in a fresh
+    directory: exit code, stdout, stderr and the manifest's `resolved` block
+    (None if no JSON was written)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config, result = Path(tmp, "run.cfg"), Path(tmp, "out.json")
+        config.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--config", str(config), "--json", str(result), *flags])
+        resolved = json.loads(result.read_text())["manifest"]["resolved"] if result.exists() else None
+    return code, out.getvalue(), err.getvalue(), resolved
 
 
 class TestConfigFile:
@@ -92,54 +111,160 @@ class TestConfigKeys:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_simulate_reads_every_key(self, capsys, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "scenario = ILS\nm = 2\nbeta = 0.1\nomega = 1\nL = 4\ng = 2\nq = 2\npt_db = 10\n"
-            "pt_linear = 10\nsigma_e2 = 0\nt = 1000\ntheta = 4\nq_max = 2\nq_max_baseline = 2\n"
+        # a file gives one form of power and of channel, so two files cover every key
+        common = (
+            "L = 4\ng = 2\nq = 2\nsigma_e2 = 0\nt = 1000\ntheta = 4\nq_max = 2\nq_max_baseline = 2\n"
             "trials = 1000\nseed = 5\nworkers = 1\n"
         )
-        code, _, _ = run(capsys, "simulate", "--gain", "--config", str(path), "--out", str(tmp_path / "run"))
-        assert code == 0
-        resolved = json.loads((tmp_path / "run.json").read_text())["manifest"]["resolved"]
-        assert (resolved["l"], resolved["q_max"], resolved["seed"], resolved["m"]) == (4, 2, 5, 2.0)
+        forms = {"scenario = ILS\npt_db = 10\n": "ILS", "m = 2\nbeta = 0.1\nomega = 1\npt_linear = 10\n": 2.0}
+        for text, channel in forms.items():
+            path = tmp_path / "run.cfg"
+            path.write_text(text + common)
+            code, _, _ = run(capsys, "simulate", "--gain", "--config", str(path), "--out", str(tmp_path / "run"))
+            assert code == 0
+            resolved = json.loads((tmp_path / "run.json").read_text())["manifest"]["resolved"]
+            assert (resolved["l"], resolved["q_max"], resolved["seed"]) == (4, 2, 5)
+            assert resolved.get("scenario", resolved.get("m")) == channel
+
+
+# the resolved defaults of `analyze`, in table order
+DEFAULTS = {
+    "scenario": "AS", "l": 8, "g": 6, "q": 8, "pt_db": 18.1, "sigma_e2": 0.125, "t": 10_000, "theta": 12,
+    "q_max": 8, "q_max_baseline": 8, "trials": 100_000, "seed": 0, "workers": 1,
+}
+# flag and (file value, flag value) of the keys the property below sets
+SETTABLE = {
+    "pt_db": ("--pt-db", 10.0, 12.0),
+    "pt_linear": ("--pt-linear", 5.0, 7.0),
+    "scenario": ("--scenario", "ILS", "FHS"),
+    "m": ("--m", 2.0, 3.0),
+    "beta": ("--beta", 0.1, 0.2),
+    "omega": ("--omega", 0.5, 1.0),
+    "l": ("--L", 4, 16),
+}
+
+
+def resolved_model(file: dict, flags: dict) -> dict | str:
+    """defaults < file < flags, where a source that gives one form of power
+    or channel drops the other form; an error message's core if the run
+    must exit 2."""
+    values = dict(DEFAULTS)
+    for source in (file, flags):
+        for a, b in (({"pt_db"}, {"pt_linear"}), ({"scenario"}, {"m", "beta", "omega"})):
+            if a & source.keys() and b & source.keys():
+                return "gives both"
+            for given, other in ((a, b), (b, a)):
+                if given & source.keys():
+                    values = {k: v for k, v in values.items() if k not in other}
+        values.update(source)
+    custom = {"m", "beta", "omega"} & values.keys()
+    return "requires all of m, beta, omega" if 0 < len(custom) < 3 else values
 
 
 class TestResolved:
     """defaults < config file < flags, as the manifest records them."""
 
-    def resolved(self, capsys, tmp_path, text, *flags):
-        path = tmp_path / "run.cfg"
-        path.write_text(text)
-        out = tmp_path / "out.json"
-        code, _, _ = run(capsys, "analyze", "--config", str(path), "--json", str(out), *flags)
-        assert code == 0
-        return json.loads(out.read_text())["manifest"]["resolved"]
+    def resolved(self, text, *flags):
+        code, _, err, resolved = analyze_json(text, *flags)
+        assert (code, err) == (0, "")
+        return resolved
 
     @pytest.mark.parametrize(
         "text, flags, expected",
         [("", [], 8), ("L = 16\n", [], 16), ("L = 16\n", ["--L", "4"], 4)],
         ids=["default", "file", "flag"],
     )
-    def test_override_order(self, capsys, tmp_path, text, flags, expected):
-        assert self.resolved(capsys, tmp_path, text, *flags)["l"] == expected
+    def test_override_order(self, text, flags, expected):
+        assert self.resolved(text, *flags)["l"] == expected
 
-    def test_pt_db_flag_beats_file_pt_linear(self, capsys, tmp_path):
-        resolved = self.resolved(capsys, tmp_path, "pt_linear = 100\n", "--pt-db", "10")
+    def test_pt_db_flag_beats_file_pt_linear(self):
+        resolved = self.resolved("pt_linear = 100\n", "--pt-db", "10")
         assert resolved["pt_db"] == 10.0
         assert "pt_linear" not in resolved
 
-    def test_file_pt_linear_beats_db_default(self, capsys, tmp_path):
-        resolved = self.resolved(capsys, tmp_path, "pt_linear = 10\n")
+    def test_file_pt_linear_beats_db_default(self):
+        resolved = self.resolved("pt_linear = 10\n")
         assert resolved["pt_linear"] == 10.0
         assert "pt_db" not in resolved
 
-    def test_key_order(self, capsys, tmp_path):
-        # defaults in table order, then file keys in file order, then flags
-        resolved = self.resolved(capsys, tmp_path, "omega = 1\nm = 2\nbeta = 0.1\n", "--pt-linear", "5")
+    def test_key_order(self):
+        # defaults in table order, then file keys in file order, then flags;
+        # the file's triple drops the default scenario, the flag the default pt_db
+        resolved = self.resolved("omega = 1\nm = 2\nbeta = 0.1\n", "--pt-linear", "5")
         assert list(resolved) == [
-            "scenario", "l", "g", "q", "sigma_e2", "t", "theta", "q_max", "q_max_baseline",
+            "l", "g", "q", "sigma_e2", "t", "theta", "q_max", "q_max_baseline",
             "trials", "seed", "workers", "omega", "m", "beta", "pt_linear",
         ]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sets(st.sampled_from(sorted(SETTABLE))), st.sets(st.sampled_from(sorted(SETTABLE))))
+    def test_sources_resolve_by_one_rule(self, file_keys, flag_keys):
+        file = {key: SETTABLE[key][1] for key in sorted(file_keys)}
+        flags = {key: SETTABLE[key][2] for key in sorted(flag_keys)}
+        text = "".join(f"{key} = {value}\n" for key, value in file.items())
+        argv = [arg for key, value in flags.items() for arg in (SETTABLE[key][0], str(value))]
+        code, out, err, resolved = analyze_json(text, *argv)
+        expected = resolved_model(file, flags)
+        if isinstance(expected, str):
+            assert (code, out, resolved) == (2, "", None)
+            assert expected in err
+        else:
+            assert (code, err, resolved) == (0, "", expected)
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("", ["--pt-db", "10", "--pt-linear", "5"], "the command line gives both pt_db and pt_linear"),
+            ("pt_db = 10\npt_linear = 5\n", [], "run.cfg gives both pt_db and pt_linear"),
+            ("scenario = ILS\nm = 2\n", [], "run.cfg gives both scenario and m"),
+        ],
+        ids=["power-flags", "power-file", "channel-file"],
+    )
+    def test_both_forms_rejected(self, text, flags, message):
+        # both power forms once ran, one silently: the flags at 10 dB, the file at linear 5
+        code, out, err, resolved = analyze_json(text, *flags)
+        assert (code, out, resolved) == (2, "", None)
+        assert err.startswith("error: ") and err.endswith(f"{message}; give one form\n")
+
+    def test_scenario_flag_replaces_file_triple(self):
+        # the file's triple once ran (snr 16.5510 dB) under a manifest that named ILS
+        code, out, _, resolved = analyze_json("m = 1\nbeta = 0.1\nomega = 0.5\n", "--scenario", "ILS")
+        assert code == 0
+        assert "snr_ave_db      : 20.1575\n" in out
+        assert resolved["scenario"] == "ILS"
+        assert not {"m", "beta", "omega"} & resolved.keys()
+
+    def test_m_flag_overrides_file_triple(self):
+        code, out, _, resolved = analyze_json("m = 1\nbeta = 0.1\nomega = 0.5\n", "--m", "2")
+        assert code == 0
+        assert (resolved["m"], resolved["beta"], resolved["omega"]) == (2.0, 0.1, 0.5)
+        assert "scenario" not in resolved
+        assert f"snr_ave_db      : {18.1 + 10 * np.log10(0.7):.4f}\n" in out  # 2b + w = 0.7
+
+    def test_m_flag_alone_over_file_scenario_is_a_partial_triple(self):
+        code, out, err, resolved = analyze_json("scenario = ILS\n", "--m", "2")
+        assert (code, out, resolved) == (2, "", None)
+        assert err == "error: custom shadowing requires all of m, beta, omega; got only ['m']\n"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_scenario_name_is_upper_cased(self, source):
+        text, flags = ("scenario = fhs\n", []) if source == "file" else ("", ["--scenario", "fhs"])
+        assert self.resolved(text, *flags)["scenario"] == "FHS"
+
+    def test_unknown_scenario_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--scenario", "URBAN"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'URBAN' (choose from 'AS', 'FHS', 'ILS')" in capsys.readouterr().err
+
+    def test_unknown_scenario_in_file_named_by_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("L = 8\nscenario = urban\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: scenario must be one of AS, FHS, ILS, got 'urban'"):
+            parse_config_file(path)
+        code, out, err, resolved = analyze_json("scenario = URBAN\n")
+        assert (code, out, resolved) == (2, "", None)
+        assert "run.cfg:1: scenario must be one of AS, FHS, ILS, got 'URBAN'" in err
 
 
 class TestAnalyze:
@@ -390,7 +515,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags, label",
-        [(["--m", "2.0", "--beta", "0.2", "--omega", "0.5"], "custom"), (["--scenario", "ils"], "ils")],
+        [(["--m", "2.0", "--beta", "0.2", "--omega", "0.5"], "custom"), (["--scenario", "ils"], "ILS")],
         ids=["custom", "scenario"],
     )
     def test_csv_scenario_label(self, capsys, tmp_path, flags, label):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference import block_sinr, effective_sum_rate, moment_samples, q1_rate, sample_block
+from reference import block_sinr, effective_sum_rate, make_config, moment_samples, q1_rate, sample_block
 from vccsat import experiments
 from vccsat.analysis import (
     alpha2_closed_form,
@@ -30,22 +30,6 @@ from vccsat.experiments import (
     oracle_suite,
     sweep,
 )
-from vccsat.linkphy import SystemConfig
-
-
-def make_config(**kwargs):
-    base = dict(
-        l_antennas=8,
-        g_groups=6,
-        q_mux=4,
-        p_t=10.0,
-        shadowing=SCENARIOS["AS"],
-        sigma_e2=0.125,
-        t_coherence=10_000,
-        theta_pilot=12,
-    )
-    base.update(kwargs)
-    return SystemConfig(**base)
 
 
 # every public Monte Carlo estimator, as estimate(trials, workers)

@@ -8,26 +8,12 @@ from reference import (
     full_signal_roundtrip,
     inter_group_component,
     intra_group_reference,
+    make_config,
     sample_block,
     transmit_vector,
 )
-from vccsat.channel import SCENARIOS, scenario, substream
+from vccsat.channel import substream
 from vccsat.linkphy import SystemConfig, sinr_batch
-
-
-def make_config(**kwargs):
-    base = dict(
-        l_antennas=8,
-        g_groups=6,
-        q_mux=4,
-        p_t=10.0,
-        shadowing=SCENARIOS["AS"],
-        sigma_e2=0.125,
-        t_coherence=10_000,
-        theta_pilot=12,
-    )
-    base.update(kwargs)
-    return SystemConfig(**base)
 
 
 def unit_symbols(rng, shape):
@@ -109,7 +95,7 @@ class TestMfPrecoder:
 class TestSinr:
     # sinr_batch reads Gram powers |h_b^T hhat_c^*|^2 shaped (..., Q, Q)
     def test_single_user_has_no_interference(self):
-        config = make_config(g_groups=1, q_mux=1, shadowing=scenario("ILS"))
+        config = make_config("ILS", g_groups=1, q_mux=1)
         rng = substream(1, 0)
         h, h_hat = sample_block(config, rng)
         sinr = sinr_batch(gram_powers(h, h_hat), alpha2=0.5)

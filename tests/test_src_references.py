@@ -1,7 +1,9 @@
 """Code that only tests reach belongs in tests/, not in the package: every
-public top-level name of src/vccsat must be used somewhere in src/vccsat.
-Each name is imported from its own module; the package itself binds only
-`__version__`, so there is no second import path to keep in step."""
+public top-level name of src/vccsat, and every public method, property and
+annotated field of its classes, must be read somewhere in src/vccsat.  A
+definition or an assignment to the name is not a read.  Each name is
+imported from its own module; the package itself binds only `__version__`,
+so there is no second import path to keep in step."""
 
 import ast
 from collections import Counter
@@ -28,6 +30,19 @@ def _defined(tree: ast.Module) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
+def _members(tree: ast.Module) -> dict[str, str]:
+    """Class.member -> member, for the public methods, properties and
+    annotated fields of the module's classes."""
+    members = {}
+    for cls in tree.body:
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, ast.FunctionDef):
+                members[f"{cls.name}.{node.name}"] = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members[f"{cls.name}.{node.target.id}"] = node.target.id
+    return {key: name for key, name in members.items() if not name.startswith("_")}
+
+
 def test_package_binds_only_its_version():
     tree = ast.parse((SRC / "__init__.py").read_text())
     imported = [
@@ -46,9 +61,10 @@ def test_every_public_name_is_used_in_src():
         for module, tree in trees.items()
         if module != "__init__"
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     )
     defined = {f"{module}.{name}": name for module, tree in trees.items() for name in _defined(tree)}
+    defined |= {f"{module}.{key}": name for module, tree in trees.items() for key, name in _members(tree).items()}
     assert set(ALLOWED) <= set(defined)
     unused = sorted(key for key, name in defined.items() if not used[name] and key not in ALLOWED)
     assert not unused, f"public names no code in src/vccsat uses: {unused}"
