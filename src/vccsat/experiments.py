@@ -67,11 +67,12 @@ def _estimate(
     which returns the values of n trials along its last axis.
 
     Batch j of `BATCH_TRIALS` trials draws from `substream(seed, stream, j)`,
-    on a pool of `workers` threads if more than one.  Each batch gives its
+    on a pool of `workers` threads, one included.  Each batch gives its
     count, mean and sum of squared deviations M2, two-pass, and these are
     merged in batch order after Chan, Golub and LeVeque (1979), so the
     result does not depend on the worker count.  An overflow or invalid
-    value, in a batch or in their merge, raises `ValueError`."""
+    value, in a batch or in their merge, raises `ValueError`; the pool
+    cancels the batches not yet started."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     if workers < 1:
@@ -93,14 +94,8 @@ def _estimate(
 
     batches = range(-(-trials // BATCH_TRIALS))
     try:
-        # one worker runs the batches here rather than on a one-thread pool:
-        # the bits are the same, but a pool raised validate's peak RSS from 76
-        # to 103-117 MiB (likely the pool thread's own malloc arena; not verified)
-        if workers == 1:
-            parts = [batch(j) for j in batches]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(batch, batches))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(batch, batches))
         with np.errstate(over="raise", invalid="raise"):
             n, mean, m2 = parts[0]
             for n_b, mean_b, m2_b in parts[1:]:
@@ -126,8 +121,8 @@ def _chunks(
 
     The previous chunk stays referenced while the next one is drawn.
     Releasing it first cut a batch's traced peak by up to a quarter, but
-    glibc then trimmed the heap after every chunk: fig6 took 4x the minor
-    faults and 15% more wall time."""
+    glibc then trimmed the heap after every chunk: on the pool thread fig6
+    took 6.3x the minor faults and 12% more wall time."""
     step = max(1, CHUNK_USERS // (config.g_groups * q_width))
     for a in range(0, n, step):
         m = min(step, n - a)

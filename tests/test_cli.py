@@ -28,6 +28,9 @@ from vccsat.cli import main, parse_config_file
 from vccsat.linkphy import SystemConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# the benchmark's reference `validate` runs: the command and, per seed, its
+# exit code and stdout
+VALIDATE_REFERENCE = json.loads((SRC.parent / "perfbench" / "reference" / "validate.json").read_text())
 
 
 def run(capsys, *argv):
@@ -909,3 +912,20 @@ class TestValidateCommand:
         assert [status[f"moment-{m}"] for m in ("xi1", "xi2", "desired")] == ["PASS"] * 3
         assert [name for name, state in status.items() if state == "FAIL"] == failed
         assert code == (1 if failed else 0)
+
+    @pytest.mark.parametrize("seed", sorted(VALIDATE_REFERENCE["seeds"], key=int))
+    def test_benchmark_reference_verdicts(self, capsys, seed):
+        # the benchmark's gate on validate: each check's PASS/FAIL, the
+        # summary line and the exit code match the reference run's; its
+        # numbers come from an older random stream, so they are not compared
+        argv = list(VALIDATE_REFERENCE["command"])
+        argv[argv.index("--seed") + 1] = seed
+        ref = VALIDATE_REFERENCE["seeds"][seed]
+        code, out, _ = run(capsys, *argv)
+
+        def verdicts(text):
+            # "[PASS] name: detail" -> "[PASS] name"; the summary line whole
+            return [line.split(":")[0] if line.startswith("[") else line for line in text.splitlines()]
+
+        assert verdicts(out) == verdicts(ref["stdout"])
+        assert code == ref["returncode"]

@@ -49,10 +49,6 @@ def _no_draw(*args):
     raise AssertionError("a substream was drawn")
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a thread pool was started")
-
-
 class TestEstimate:
     @staticmethod
     def samples(rng, n):
@@ -107,12 +103,27 @@ class TestEstimate:
         with pytest.raises(ValueError, match="trials must be >="):
             estimate(50, 1)
 
-    @pytest.mark.parametrize("estimate", ESTIMATORS)
-    def test_one_worker_starts_no_pool(self, monkeypatch, estimate):
-        # a one-thread pool gives the same bits, but it raised validate's
-        # peak RSS from 76 to 103-117 MiB
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", _no_pool)
-        estimate(10_000, 1)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_batch_cancels_queued_batches(self, monkeypatch, workers):
+        # the pool's map cancels the batches not yet started once one raises,
+        # so a value that overflows in batch 0 of 25 ends the run early
+        started = []
+        real = experiments.substream
+
+        def spy(seed, stream, j):
+            started.append(j)
+            return j, real(seed, stream, j)
+
+        def samples(batch, n):
+            j, rng = batch
+            if j == 0:
+                raise FloatingPointError("overflow encountered in multiply")
+            return self.samples(rng, n)
+
+        monkeypatch.setattr(experiments, "substream", spy)
+        with pytest.raises(ValueError, match="not finite"):
+            _estimate(samples, 25 * BATCH_TRIALS, 0, 0, workers)
+        assert len(started) < 10, started
 
     @pytest.mark.parametrize(
         "call",
